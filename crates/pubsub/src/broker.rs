@@ -23,7 +23,7 @@ use crate::dynproto::BoxedMsg;
 use crate::event::Event;
 use crate::event::EventId;
 use crate::filter::Filter;
-use crate::filter_table::FilterTable;
+use crate::filter_table::{covered_filters, FilterTable, Related};
 use crate::messages::{ConnectInfo, NetMsg, ProtocolMessage, RepairMsg};
 use crate::queue::PqId;
 use crate::repair::RepairState;
@@ -650,14 +650,16 @@ impl BrokerCore {
         if !removed {
             return;
         }
+        // One walk over the entries related to the filter by covering
+        // answers every neighbor's still-needed check and re-propagation
+        // list below.
+        let related: Vec<Related<'_>> = self.filters.related(&filter).collect();
         for nb in self.neighbors() {
-            if from == Peer::Broker(nb) {
+            let nb_peer = Peer::Broker(nb);
+            if from == nb_peer {
                 continue;
             }
-            if self
-                .filters
-                .still_needed_by_other(&filter, Peer::Broker(nb))
-            {
+            if related.iter().any(|r| r.covers && r.entry.peer != nb_peer) {
                 // Another neighbor or local client still needs events
                 // matching this filter, so the neighbor must keep sending
                 // them to us.
@@ -669,20 +671,11 @@ impl BrokerCore {
                 // being removed covered them must be re-announced *before*
                 // the unsubscription (per-link FIFO keeps the order), or the
                 // neighbor drops the route for filters still needed here.
-                let mut repropagate: Vec<Filter> = Vec::new();
-                for e in self.filters.entries() {
-                    if e.peer != Peer::Broker(nb)
-                        && filter.covers(&e.filter)
-                        && !repropagate.contains(&e.filter)
-                    {
-                        repropagate.push(e.filter.clone());
-                    }
-                }
-                for f in repropagate {
+                for f in covered_filters(&related, nb_peer) {
                     ctx.send_to_broker(
                         nb,
                         NetMsg::SubPropagate {
-                            filter: f,
+                            filter: f.clone(),
                             mobility: false,
                         },
                     );

@@ -41,6 +41,38 @@
 //! Removals tombstone the entry and unlink it from the indexes in O(its
 //! buckets); the vector is compacted (and the indexes rebuilt) only when
 //! dead entries outnumber live ones.
+//!
+//! Covering queries — "does some other peer's entry cover this filter?"
+//! (subscription propagation), "is this filter still related to anyone
+//! else's?" (MHH's `cancel_prev`, unsubscription) — go through a
+//! **bounded prefilter** instead of calling [`Filter::covers`] on every
+//! entry:
+//!
+//! * beside the entry vector the table keeps one 8-byte **hull** per
+//!   entry: the entry's numeric interval (the same over-approximation the
+//!   interval grid uses) with both bounds rounded to `f32`; entries that
+//!   are not a single-attribute numeric range get (−∞, +∞);
+//! * the query's hull is rounded the same way, and an entry is a candidate
+//!   only when one hull contains the other (or either is unbounded);
+//! * survivors are re-checked with the real `covers`, in ascending entry
+//!   position, so every answer — and every list built from one — is
+//!   identical to a linear in-order scan (pinned by a differential
+//!   property test).
+//!
+//! The prefilter never drops a true answer. Syntactic covering between two
+//! single-attribute numeric filters implies containment of their `f64`
+//! intervals: each bound of the covering filter is implied by a constraint
+//! of the covered one, which therefore sets a bound at least as tight (all
+//! numeric comparisons go through `f64`). Rounding to `f32` is monotone
+//! (`x <= y` implies `x as f32 <= y as f32`) and both sides are rounded by
+//! the same map, so containment survives it; rounding only merges nearby
+//! bounds, which adds candidates, never drops one. An unbounded hull
+//! admits everything, which keeps multi-attribute, `Ne`/`Prefix`/`Exists`
+//! and match-all filters (on either side) exact. The hulls are read as one
+//! dense array, so a query costs a pass over 8 bytes per entry plus real
+//! checks on the few related entries, instead of a pointer chase into every
+//! entry's `Filter`. Memory: 8 bytes per entry slot, tombstones included
+//! until compaction.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -163,6 +195,67 @@ fn as_interval(filter: &Filter) -> Option<(&str, f64, f64)> {
         }
     }
     attr.map(|a| (a, lo, hi))
+}
+
+/// A filter's [`as_interval`] bounds rounded to `f32`; (−∞, +∞) when the
+/// filter is not a single-attribute numeric range. See the module docs,
+/// "Indexing", for why the covering prefilter built on it is exact.
+#[derive(Clone, Copy, PartialEq)]
+struct Hull {
+    lo: f32,
+    hi: f32,
+}
+
+impl Hull {
+    const UNBOUNDED: Hull = Hull {
+        lo: f32::NEG_INFINITY,
+        hi: f32::INFINITY,
+    };
+
+    fn of(filter: &Filter) -> Self {
+        // `as_interval` never yields a NaN bound (`f64::max`/`min` skip NaN
+        // operands), and `as f32` rounds to nearest, saturating to the
+        // infinities: a monotone map.
+        match as_interval(filter) {
+            Some((_, lo, hi)) => Hull {
+                lo: lo as f32,
+                hi: hi as f32,
+            },
+            None => Hull::UNBOUNDED,
+        }
+    }
+
+    /// May a filter with this hull cover one with hull `other`? False only
+    /// when covering provably fails.
+    fn may_cover(self, other: Hull) -> bool {
+        (self.lo <= other.lo && other.hi <= self.hi) || other == Hull::UNBOUNDED
+    }
+}
+
+/// A live entry related to a query filter by covering, in one direction or
+/// both (see [`FilterTable::related`]).
+pub(crate) struct Related<'a> {
+    /// The table entry.
+    pub(crate) entry: &'a FilterEntry,
+    /// The entry's filter covers the query.
+    pub(crate) covers: bool,
+    /// The query covers the entry's filter.
+    pub(crate) covered: bool,
+}
+
+/// The distinct filters, in entry order, of the `related` entries from
+/// peers other than `except` that the query covers. An unsubscription must
+/// re-announce these toward `except` before cancelling the query: their own
+/// propagation there may have been suppressed because the query covered
+/// them.
+pub(crate) fn covered_filters<'a>(related: &[Related<'a>], except: Peer) -> Vec<&'a Filter> {
+    let mut out: Vec<&Filter> = Vec::new();
+    for r in related {
+        if r.covered && r.entry.peer != except && !out.contains(&&r.entry.filter) {
+            out.push(&r.entry.filter);
+        }
+    }
+    out
 }
 
 /// How an entry is registered in the index (recomputed from the filter, so
@@ -289,6 +382,8 @@ pub struct FilterTable {
     entries: Vec<FilterEntry>,
     /// Tombstone flags, parallel to `entries`.
     live: Vec<bool>,
+    /// Covering-prefilter bounds, parallel to `entries`.
+    hulls: Vec<Hull>,
     live_count: usize,
     index: TableIndex,
 }
@@ -402,6 +497,8 @@ impl FilterTable {
         let mut alive = self.live.iter();
         self.entries
             .retain(|_| *alive.next().expect("parallel vecs"));
+        let mut alive = self.live.iter();
+        self.hulls.retain(|_| *alive.next().expect("parallel vecs"));
         self.live.clear();
         self.live.resize(self.entries.len(), true);
         self.live_count = self.entries.len();
@@ -434,6 +531,7 @@ impl FilterTable {
         }
         self.maybe_compact();
         let pos = self.entries.len() as u32;
+        self.hulls.push(Hull::of(&filter));
         self.entries.push(FilterEntry {
             peer,
             filter,
@@ -561,31 +659,54 @@ impl FilterTable {
         out
     }
 
+    /// Live entries whose hull passes `may`, in ascending position.
+    fn hull_candidates(&self, may: impl Fn(Hull) -> bool) -> impl Iterator<Item = &FilterEntry> {
+        self.hulls
+            .iter()
+            .zip(&self.live)
+            .zip(&self.entries)
+            .filter_map(move |((&h, &alive), e)| (alive && may(h)).then_some(e))
+    }
+
     /// Is there an entry from a peer other than `except` whose filter covers
     /// `filter`? Used by the covering optimisation to decide whether a new
-    /// subscription needs to be propagated to a neighbor, and whether an
-    /// unsubscription may be suppressed.
+    /// subscription needs to be propagated to a neighbor.
     pub fn covered_by_other(&self, filter: &Filter, except: Peer) -> bool {
-        self.entries()
+        let q = Hull::of(filter);
+        self.hull_candidates(move |h| h.may_cover(q))
             .any(|e| e.peer != except && e.filter.covers(filter))
     }
 
-    /// Is there an entry from a peer other than `except` whose filter equals
-    /// or covers `filter`, *ignoring* labels? Used when deciding whether an
-    /// unsubscription must be forwarded.
-    pub fn still_needed_by_other(&self, filter: &Filter, except: Peer) -> bool {
-        self.covered_by_other(filter, except)
+    /// Does an entry from a peer outside `excluded` relate to `filter` by
+    /// covering in either direction? MHH's `cancel_prev` test (the "whether
+    /// the sender will cancel the filter" indication of Section 4.1).
+    /// Deliberately liberal: any related filter counts as "still needed",
+    /// so an entry is never cancelled while another subscriber could still
+    /// depend on it.
+    pub fn needed_excluding(&self, filter: &Filter, excluded: &[Peer]) -> bool {
+        self.related(filter)
+            .any(|r| !excluded.contains(&r.entry.peer))
     }
 
-    /// All client peers that currently have at least one entry.
-    pub fn client_peers(&self) -> Vec<Peer> {
-        let mut out = Vec::new();
-        for e in self.entries() {
-            if matches!(e.peer, Peer::Client(_)) && !out.contains(&e.peer) {
-                out.push(e.peer);
-            }
-        }
-        out
+    /// Every live entry whose filter covers `filter` or is covered by it, in
+    /// ascending position (insertion order), with both directions
+    /// evaluated. One walk answers an unsubscription's still-needed check
+    /// and its covering re-propagation list for every neighbor.
+    pub(crate) fn related<'a>(
+        &'a self,
+        filter: &'a Filter,
+    ) -> impl Iterator<Item = Related<'a>> + 'a {
+        let q = Hull::of(filter);
+        self.hull_candidates(move |h| h.may_cover(q) || q.may_cover(h))
+            .filter_map(move |entry| {
+                let covers = entry.filter.covers(filter);
+                let covered = filter.covers(&entry.filter);
+                (covers || covered).then_some(Related {
+                    entry,
+                    covers,
+                    covered,
+                })
+            })
     }
 }
 
@@ -680,7 +801,7 @@ mod tests {
         let removed = t.remove_peer(C1);
         assert_eq!(removed.len(), 2);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.client_peers(), Vec::<Peer>::new());
+        assert!(t.filters_for(C1).is_empty());
     }
 
     #[test]
@@ -838,5 +959,178 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Differential check of the covering queries: the hull-prefiltered
+    /// `covered_by_other`, `needed_excluding`, `related` and the
+    /// re-propagation list built from it must equal a naive in-order scan
+    /// calling `Filter::covers` on every live entry. The value pool mixes
+    /// `Int`/`Float` pairs at equal values, values not exact in `f32` (and
+    /// neighbours that round to the same `f32`), integers beyond 2^53,
+    /// infinities, overflow of the `f32` range and NaN; the filter shapes
+    /// cover single `Eq`, one-sided, two-sided and inverted ranges,
+    /// `Ne`/`Prefix`/`Exists`, non-numeric `Eq`, match-all and
+    /// two-attribute conjunctions. Labels, tombstones and compaction come
+    /// from interleaved adds and removals.
+    #[test]
+    fn covering_queries_equal_linear_scan() {
+        use mhh_simnet::random::DetRng;
+
+        let big = 1i64 << 53;
+        let pool: Vec<Value> = vec![
+            Value::Int(0),
+            Value::Float(-0.0),
+            Value::Float(0.1),
+            Value::Float(0.1f64.next_up()),
+            Value::Float(1.0 / 3.0),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(big as f64),
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Int(big + 2),
+            Value::Float(1e300),
+            Value::Float(-1e300),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+        ];
+        const RANGE_OPS: [Op; 5] = [Op::Ge, Op::Gt, Op::Le, Op::Lt, Op::Eq];
+        let num = |rng: &mut DetRng| pool[rng.index(pool.len())].clone();
+        let range = |rng: &mut DetRng, attr: &str| -> Filter {
+            let lo = if rng.index(2) == 0 { Op::Ge } else { Op::Gt };
+            let hi = if rng.index(2) == 0 { Op::Le } else { Op::Lt };
+            // Independent draws: about half the ranges come out inverted.
+            Filter::single(attr, lo, num(rng)).and(attr, hi, num(rng))
+        };
+        let filt = |rng: &mut DetRng| -> Filter {
+            match rng.index(9) {
+                0 => Filter::single("v", Op::Eq, num(rng)),
+                1 => Filter::single("v", RANGE_OPS[rng.index(4)], num(rng)),
+                2 | 3 => range(rng, "v"),
+                4 => match rng.index(3) {
+                    0 => Filter::single("v", Op::Ne, num(rng)),
+                    1 => Filter::single("v", Op::Prefix, "ab"),
+                    _ => Filter::single("v", Op::Exists, 0i64),
+                },
+                5 => Filter::match_all(),
+                6 => range(rng, "v").and("w", RANGE_OPS[rng.index(5)], num(rng)),
+                7 => Filter::single("w", RANGE_OPS[rng.index(5)], num(rng)),
+                _ => {
+                    if rng.index(2) == 0 {
+                        Filter::single("v", Op::Eq, "ab")
+                    } else {
+                        Filter::single("v", Op::Eq, true)
+                    }
+                }
+            }
+        };
+        let peer = |rng: &mut DetRng| -> Peer {
+            if rng.index(2) == 0 {
+                Peer::Broker(BrokerId(rng.index(4) as u32))
+            } else {
+                Peer::Client(ClientId(rng.index(8) as u32))
+            }
+        };
+
+        let mut rng = DetRng::new(0xc0e7_5ca1);
+        let mut compactions = 0;
+        for _ in 0..48 {
+            let mut t = FilterTable::new();
+            for _ in 0..rng.index(160) {
+                let label = rng.chance(0.3).then(|| peer(&mut rng));
+                t.add_labeled(peer(&mut rng), filt(&mut rng), label);
+            }
+            for _ in 0..24 {
+                // Exercise append, tombstone-removal and compaction paths.
+                let slots = t.entries.len();
+                match rng.index(4) {
+                    0 => {
+                        t.add(peer(&mut rng), filt(&mut rng));
+                    }
+                    1 => {
+                        t.remove_peer(peer(&mut rng));
+                    }
+                    _ => {
+                        let victims: Vec<(Peer, Filter)> = t
+                            .entries()
+                            .filter(|_| rng.chance(0.4))
+                            .map(|e| (e.peer, e.filter.clone()))
+                            .collect();
+                        for (p, f) in victims {
+                            // NaN filters never equal themselves, so their
+                            // entries cannot be removed by value.
+                            t.remove(p, &f);
+                        }
+                    }
+                }
+                if t.entries.len() < slots {
+                    compactions += 1;
+                }
+                let query = if t.is_empty() || rng.index(3) == 0 {
+                    filt(&mut rng)
+                } else {
+                    let n = rng.index(t.len());
+                    t.entries().nth(n).expect("live entry").filter.clone()
+                };
+                let peers: Vec<Peer> = (0..3).map(|_| peer(&mut rng)).collect();
+                let except = peers[0];
+
+                // Entries are compared by identity: NaN filters are not
+                // equal to themselves.
+                let naive: Vec<(*const FilterEntry, bool, bool)> = t
+                    .entries()
+                    .map(|e| {
+                        (
+                            e as *const _,
+                            e.filter.covers(&query),
+                            query.covers(&e.filter),
+                        )
+                    })
+                    .filter(|&(_, covers, covered)| covers || covered)
+                    .collect();
+                let related: Vec<Related<'_>> = t.related(&query).collect();
+                let got: Vec<(*const FilterEntry, bool, bool)> = related
+                    .iter()
+                    .map(|r| (r.entry as *const _, r.covers, r.covered))
+                    .collect();
+                assert_eq!(got, naive, "related({query}) diverged from linear scan");
+
+                let covered = t
+                    .entries()
+                    .any(|e| e.peer != except && e.filter.covers(&query));
+                assert_eq!(t.covered_by_other(&query, except), covered, "{query}");
+                assert_eq!(
+                    related.iter().any(|r| r.covers && r.entry.peer != except),
+                    covered,
+                    "{query}"
+                );
+                let needed = t.entries().any(|e| {
+                    !peers[1..].contains(&e.peer)
+                        && (e.filter.covers(&query) || query.covers(&e.filter))
+                });
+                assert_eq!(t.needed_excluding(&query, &peers[1..]), needed, "{query}");
+
+                let mut repropagate: Vec<&Filter> = Vec::new();
+                for e in t.entries() {
+                    if e.peer != except
+                        && query.covers(&e.filter)
+                        && !repropagate.contains(&&e.filter)
+                    {
+                        repropagate.push(&e.filter);
+                    }
+                }
+                let ptrs = |list: Vec<&Filter>| -> Vec<*const Filter> {
+                    list.into_iter().map(|f| f as *const _).collect()
+                };
+                assert_eq!(
+                    ptrs(covered_filters(&related, except)),
+                    ptrs(repropagate),
+                    "re-propagation list for {query}"
+                );
+            }
+        }
+        assert!(compactions > 0, "the loop must exercise compaction");
     }
 }

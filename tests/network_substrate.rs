@@ -18,7 +18,9 @@ use mhh_suite::mobility::ModelKind;
 use mhh_suite::mobsim::experiments::{figure5_in, figure6_in, FigureResult};
 use mhh_suite::mobsim::protocols::ProtocolRegistry;
 use mhh_suite::mobsim::report::{render_figure, to_json};
-use mhh_suite::mobsim::{run_scenario, Protocol, ScenarioConfig, Sim, TopologyKind};
+use mhh_suite::mobsim::{
+    run_scenario, run_spec, scenarios, Protocol, RunResult, ScenarioConfig, Sim, TopologyKind,
+};
 use mhh_suite::simnet::random::DetRng;
 
 /// FNV-1a (64-bit offset basis and prime), pinning a Debug string
@@ -56,33 +58,36 @@ fn snapshot(fig: &FigureResult) -> String {
     points.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.protocol.cmp(&b.protocol)));
     let mut out = String::new();
     for p in points {
-        let r = &p.result;
-        let debug = format!("{r:?}");
-        let _ = writeln!(
-            out,
-            "x={} proto={} handoffs={} mob_hops={} overhead={} delay_ms={} samples={} \
-             audit=e{}/d{}/dup{}/p{}/l{}/o{} published={} delivered={} total_hops={} \
-             debug_fnv={:016x}",
-            p.x,
-            p.protocol,
-            r.handoffs,
-            r.mobility_hops,
-            r.overhead_per_handoff,
-            r.avg_handoff_delay_ms,
-            r.delay_samples,
-            r.audit.expected,
-            r.audit.delivered,
-            r.audit.duplicates,
-            r.audit.pending,
-            r.audit.lost,
-            r.audit.out_of_order,
-            r.published,
-            r.delivered_messages,
-            r.total_hops,
-            fnv1a(debug.as_bytes()),
-        );
+        snapshot_line(&mut out, p.x, &p.protocol, &p.result);
     }
     out
+}
+
+fn snapshot_line(out: &mut String, x: f64, protocol: &str, r: &RunResult) {
+    let debug = format!("{r:?}");
+    let _ = writeln!(
+        out,
+        "x={} proto={} handoffs={} mob_hops={} overhead={} delay_ms={} samples={} \
+         audit=e{}/d{}/dup{}/p{}/l{}/o{} published={} delivered={} total_hops={} \
+         debug_fnv={:016x}",
+        x,
+        protocol,
+        r.handoffs,
+        r.mobility_hops,
+        r.overhead_per_handoff,
+        r.avg_handoff_delay_ms,
+        r.delay_samples,
+        r.audit.expected,
+        r.audit.delivered,
+        r.audit.duplicates,
+        r.audit.pending,
+        r.audit.lost,
+        r.audit.out_of_order,
+        r.published,
+        r.delivered_messages,
+        r.total_hops,
+        fnv1a(debug.as_bytes()),
+    );
 }
 
 fn check_golden(name: &str, actual: &str) {
@@ -117,6 +122,32 @@ fn zero_jitter_grid_figure5_matches_pre_refactor_golden() {
 fn zero_jitter_grid_figure6_matches_pre_refactor_golden() {
     let fig = figure6_in(&ProtocolRegistry::builtin(), &golden_base(), &[3, 5], 2);
     check_golden("figure6_small", &snapshot(&fig));
+}
+
+/// Real-scale pin of the covering decisions: the 8×8 `paper-fig5` grid at
+/// 1 s connection periods (perfbench's `handoff-churn` job). Broker filter
+/// tables hold hundreds of entries here, because table size follows the
+/// client count rather than the horizon, so every MHH `cancel_prev` check
+/// and every sub-unsub subscribe/unsubscribe covering query runs at the
+/// table sizes where a bounded query could diverge from a linear scan. The
+/// golden was captured while those queries were still linear scans. The
+/// short horizon keeps the debug-profile run to a few seconds.
+#[test]
+fn handoff_churn_matches_golden() {
+    let config = ScenarioConfig {
+        grid_side: 8,
+        conn_mean_s: 1.0,
+        disc_mean_s: 30.0,
+        mobile_fraction: 0.5,
+        duration_s: 15.0,
+        ..scenarios::find("paper-fig5").expect("preset").config
+    };
+    let mut out = String::new();
+    for spec in ProtocolRegistry::builtin().specs() {
+        let r = run_spec(&config, spec);
+        snapshot_line(&mut out, config.conn_mean_s, &r.protocol, &r);
+    }
+    check_golden("handoff_churn", &out);
 }
 
 /// FIFO-under-jitter property loop (satellite): across ≥ 5 seeds, every
