@@ -720,12 +720,19 @@ pub struct Broker<P: MobilityProtocol> {
     pub core: BrokerCore,
     /// Mobility-protocol state.
     pub proto: P,
+    /// Matched targets of the event being routed, kept to reuse its
+    /// allocation across events.
+    targets: Vec<Peer>,
 }
 
 impl<P: MobilityProtocol> Broker<P> {
     /// Build a broker from its parts.
     pub fn new(core: BrokerCore, proto: P) -> Self {
-        Broker { core, proto }
+        Broker {
+            core,
+            proto,
+            targets: Vec::new(),
+        }
     }
 
     /// Route an event that arrived from `from` (a client publish or an
@@ -742,7 +749,10 @@ impl<P: MobilityProtocol> Broker<P> {
         if self.core.retained_enabled {
             self.core.retained.insert(event.publisher, event.clone());
         }
-        let mut targets = self.core.filters.matching_targets(&event, from);
+        let mut targets = std::mem::take(&mut self.targets);
+        self.core
+            .filters
+            .matching_targets_into(&event, from, &mut targets);
         if self.core.shared_group_size > 1 {
             collapse_shared_groups(&mut targets, self.core.shared_group_size, event.id);
         }
@@ -782,7 +792,7 @@ impl<P: MobilityProtocol> Broker<P> {
                 }
             }
         }
-        for target in targets {
+        for &target in &targets {
             match target {
                 Peer::Broker(b) => ctx.forward(b, event.clone()),
                 Peer::Client(c) => {
@@ -791,6 +801,7 @@ impl<P: MobilityProtocol> Broker<P> {
                 }
             }
         }
+        self.targets = targets;
     }
 
     /// Process one message as if it arrived from `from_node`. Split out of

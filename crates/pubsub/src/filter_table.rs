@@ -30,14 +30,37 @@
 //! * a **residual scan list** for entries the index cannot classify
 //!   (multi-attribute filters, `Ne`/`Prefix`/`Exists`, match-all), always
 //!   probed;
+//! * a dense **peer column**, one `Option<Peer>` per entry slot (`None` for
+//!   a tombstone), parallel to the entry vector;
 //! * a **duplicate map** keyed by `(peer, filter-content-hash)` and a
 //!   **per-peer position list**, making `add`'s set check, `contains`,
 //!   `filters_for` and the label helpers O(entries of that peer).
 //!
-//! Candidates coming out of the index are probed in ascending entry
-//! position — exactly the insertion order the plain linear scan used — and
-//! re-checked with the real filter, so matching results are byte-identical
-//! to a naive in-order scan (pinned by a differential property test).
+//! Every index list is ascending by entry position, and a probe reads at
+//! most one list holding a given entry. Candidates from a single list are
+//! therefore already in insertion order, the order the plain linear scan
+//! used; candidates gathered from several lists are sorted. Matching is
+//! **peer-first**: a broker's table holds one entry per remote subscriber
+//! but only a handful of distinct neighbors, so most candidates belong to a
+//! peer that is `from` or already chosen. Such a candidate costs one load
+//! from the peer column; only a first-seen peer's entry has its label and
+//! filter read. The in-order scan pushes a peer exactly when it is not
+//! `from`, its label (if any) is `from`, its filter matches and it is not
+//! yet chosen; the conditions are a conjunction and the chosen set only
+//! grows, so testing the peer first changes no push, and results stay
+//! byte-identical to the scan (pinned by two differential tests, one at
+//! city shape).
+//!
+//! An interval grid is sized when first probed: a bucket is a quarter of
+//! the mean interval width (bounds clamped to the grid's domain), capped at
+//! one bucket per interval and at 512. An interval then spans about five
+//! buckets and a probe reads about 1.25 times its true matches, and the
+//! bucket lists hold about five positions per interval whatever the
+//! widths. With peer-first matching an extra candidate is nearly free, so
+//! finer buckets would buy nothing: on 2,048 windows of width 1/16 the
+//! old one-bucket-per-interval rule built 512 buckets and 33 positions per
+//! interval, where this rule builds 64 and 5.
+//!
 //! Removals tombstone the entry and unlink it from the indexes in O(its
 //! buckets); the vector is compacted (and the indexes rebuilt) only when
 //! dead entries outnumber live ones.
@@ -94,15 +117,17 @@ pub struct FilterEntry {
     pub accept_only_from: Option<Peer>,
 }
 
-/// Hashable canonical form of a [`Value`] for the equality map. Two values
-/// share a key exactly when [`Value::eq_value`] holds between them: numerics
-/// canonicalise through `f64` (so `Int(3)` and `Float(3.0)` collide, as
-/// matching requires) and `-0.0` folds onto `0.0`. NaN keys may collide
-/// without harm — candidates are re-checked with the real filter.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Hashable canonical form of a [`Value`] for the equality map. Values that
+/// satisfy [`Value::eq_value`] always share a key: numerics canonicalise
+/// through `f64` (so `Int(3)` and `Float(3.0)` collide, as matching
+/// requires) and `-0.0` folds onto `0.0`; strings key by their FNV-1a hash,
+/// so neither insertion, removal nor an event probe clones one. Distinct
+/// values may collide (NaNs, hash collisions) without harm — candidates are
+/// re-checked with the real filter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ValueKey {
     Num(u64),
-    Str(String),
+    Str(u64),
     Bool(bool),
 }
 
@@ -111,7 +136,11 @@ impl ValueKey {
         match value {
             Value::Int(i) => Self::num(*i as f64),
             Value::Float(f) => Self::num(*f),
-            Value::Str(s) => ValueKey::Str(s.clone()),
+            Value::Str(s) => {
+                let mut h = Fnv::new();
+                h.bytes(s);
+                ValueKey::Str(h.0)
+            }
             Value::Bool(b) => ValueKey::Bool(*b),
         }
     }
@@ -125,47 +154,58 @@ impl ValueKey {
     }
 }
 
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn mix(&mut self, word: u64) {
+        self.0 ^= word;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// Mix a string's bytes and a terminator.
+    fn bytes(&mut self, s: &str) {
+        for b in s.as_bytes() {
+            self.mix(*b as u64);
+        }
+        self.mix(0xff);
+    }
+}
+
 /// FNV-1a content hash of a filter, respecting `Filter`'s derived equality
 /// (equal filters hash equal; constraint order matters, as it does for
 /// `PartialEq`). Used only to key the duplicate map — lookups always confirm
 /// with a real equality check, so collisions cost a probe, never
 /// correctness.
 fn filter_hash(filter: &Filter) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        h ^= word;
-        h = h.wrapping_mul(PRIME);
-    };
+    let mut h = Fnv::new();
     for c in &filter.constraints {
-        for b in c.attr.as_bytes() {
-            mix(*b as u64);
-        }
-        mix(0xff);
-        mix(c.op as u64);
+        h.bytes(&c.attr);
+        h.mix(c.op as u64);
         match &c.value {
             Value::Int(i) => {
-                mix(1);
-                mix(*i as u64);
+                h.mix(1);
+                h.mix(*i as u64);
             }
             Value::Float(f) => {
-                mix(2);
-                mix(f.to_bits());
+                h.mix(2);
+                h.mix(f.to_bits());
             }
             Value::Str(s) => {
-                mix(3);
-                for b in s.as_bytes() {
-                    mix(*b as u64);
-                }
-                mix(0xff);
+                h.mix(3);
+                h.bytes(s);
             }
             Value::Bool(b) => {
-                mix(4);
-                mix(*b as u64);
+                h.mix(4);
+                h.mix(*b as u64);
             }
         }
     }
-    h
+    h.0
 }
 
 /// The numeric interval `[lo, hi]` that over-approximates a filter whose
@@ -259,21 +299,22 @@ pub(crate) fn covered_filters<'a>(related: &[Related<'a>], except: Peer) -> Vec<
 }
 
 /// How an entry is registered in the index (recomputed from the filter, so
-/// removal unlinks exactly what insertion linked).
-enum Class {
-    Eq(String, ValueKey),
-    Interval(String, f64, f64),
+/// removal unlinks exactly what insertion linked). Borrows the attribute
+/// name from the filter: only a first-seen attribute is ever cloned.
+enum Class<'a> {
+    Eq(&'a str, ValueKey),
+    Interval(&'a str, f64, f64),
     Scan,
 }
 
-fn classify(filter: &Filter) -> Class {
+fn classify(filter: &Filter) -> Class<'_> {
     if let [c] = filter.constraints.as_slice() {
         if c.op == Op::Eq {
-            return Class::Eq(c.attr.clone(), ValueKey::of(&c.value));
+            return Class::Eq(&c.attr, ValueKey::of(&c.value));
         }
     }
     match as_interval(filter) {
-        Some((attr, lo, hi)) => Class::Interval(attr.to_string(), lo, hi),
+        Some((attr, lo, hi)) => Class::Interval(attr, lo, hi),
         None => Class::Scan,
     }
 }
@@ -322,14 +363,12 @@ struct AttrIndex {
 
 impl AttrIndex {
     /// The grid, built on first use from the live interval entries.
-    fn grid_mut(&mut self, entries: &[FilterEntry], live: &[bool]) -> &mut Grid {
+    fn grid_mut(&mut self, entries: &[FilterEntry]) -> &mut Grid {
         if self.grid.is_none() {
             let mut spans: Vec<(u32, f64, f64)> = Vec::with_capacity(self.intervals.len());
             let (mut dom_lo, mut dom_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            // `intervals` holds live positions only: `kill` unlinks.
             for &pos in &self.intervals {
-                if !live[pos as usize] {
-                    continue;
-                }
                 let (_, lo, hi) = as_interval(&entries[pos as usize].filter)
                     .expect("interval entries re-classify as intervals");
                 spans.push((pos, lo, hi));
@@ -342,8 +381,17 @@ impl AttrIndex {
                     dom_hi = dom_hi.max(hi);
                 }
             }
-            let buckets = spans.len().clamp(1, 512);
             let span = (dom_hi - dom_lo).max(f64::MIN_POSITIVE);
+            // A bucket is a quarter of the mean interval width (bounds
+            // clamped to the domain), so an interval spans about five
+            // buckets and a probe reads about 1.25 times its true matches;
+            // at most one bucket per interval and never more than 512.
+            let width: f64 = spans
+                .iter()
+                .map(|&(_, lo, hi)| (hi.min(dom_hi) - lo.max(dom_lo)).max(0.0))
+                .sum();
+            let by_width = (4.0 * span * spans.len() as f64 / width) as usize;
+            let buckets = by_width.clamp(1, spans.len().clamp(1, 512));
             let mut grid = Grid {
                 lo: if dom_lo.is_finite() { dom_lo } else { 0.0 },
                 inv_step: if dom_lo.is_finite() {
@@ -363,29 +411,65 @@ impl AttrIndex {
     }
 }
 
+/// End of a `dup_next` chain.
+const NONE: u32 = u32::MAX;
+
 /// All incremental indexes over the entry vector.
 #[derive(Clone, Default)]
 struct TableIndex {
-    attrs: HashMap<String, AttrIndex>,
+    /// Per attribute name, in first-seen order. Filters name few distinct
+    /// attributes, so a linear search by `&str` beats hashing the name, and
+    /// only an attribute's first entry clones it.
+    attrs: Vec<(String, AttrIndex)>,
     /// Unclassifiable entries, always probed.
     scan: Vec<u32>,
-    /// `(peer, filter_hash)` → positions, for O(1) duplicate/`contains`/
-    /// label lookups (confirmed by real equality at the listed positions).
-    dup: HashMap<(Peer, u64), Vec<u32>>,
+    /// `(peer, filter_hash)` → the newest live position under that key, for
+    /// O(1) duplicate/`contains`/label lookups (confirmed by real equality).
+    /// Older positions under the same key (hash collisions, or NaN filters,
+    /// which never equal themselves) chain through `dup_next`.
+    dup: HashMap<(Peer, u64), u32>,
+    /// Per slot, the next-older live position under the same `dup` key, or
+    /// [`NONE`].
+    dup_next: Vec<u32>,
     /// Peer → positions, ascending, for `filters_for`/`remove_peer`.
     by_peer: HashMap<Peer, Vec<u32>>,
+}
+
+impl TableIndex {
+    /// The index of `attr`, if any entry ever named it.
+    fn attr(&mut self, attr: &str) -> Option<&mut AttrIndex> {
+        self.attrs
+            .iter_mut()
+            .find_map(|(name, aidx)| (name == attr).then_some(aidx))
+    }
+
+    /// The index of `attr`, created on its first entry.
+    fn attr_mut(&mut self, attr: &str) -> &mut AttrIndex {
+        let at = match self.attrs.iter().position(|(name, _)| name == attr) {
+            Some(at) => at,
+            None => {
+                self.attrs.push((attr.to_string(), AttrIndex::default()));
+                self.attrs.len() - 1
+            }
+        };
+        &mut self.attrs[at].1
+    }
 }
 
 /// The filter table of a broker.
 #[derive(Clone, Default)]
 pub struct FilterTable {
     entries: Vec<FilterEntry>,
-    /// Tombstone flags, parallel to `entries`.
-    live: Vec<bool>,
+    /// Each slot's peer, parallel to `entries`; `None` marks a tombstone.
+    /// Matching reads this dense column before it touches an entry.
+    peers: Vec<Option<Peer>>,
     /// Covering-prefilter bounds, parallel to `entries`.
     hulls: Vec<Hull>,
     live_count: usize,
     index: TableIndex,
+    /// Candidate positions of the current [`FilterTable::matching_targets_into`]
+    /// call, kept to reuse its allocation.
+    cand: Vec<u32>,
 }
 
 impl fmt::Debug for FilterTable {
@@ -416,8 +500,8 @@ impl FilterTable {
     pub fn entries(&self) -> impl Iterator<Item = &FilterEntry> {
         self.entries
             .iter()
-            .zip(&self.live)
-            .filter_map(|(e, &alive)| alive.then_some(e))
+            .zip(&self.peers)
+            .filter_map(|(e, slot)| slot.is_some().then_some(e))
     }
 
     /// Register a (new) position in every index. The entry must already be
@@ -429,15 +513,13 @@ impl FilterTable {
         match classify(&e.filter) {
             Class::Eq(attr, key) => self
                 .index
-                .attrs
-                .entry(attr)
-                .or_default()
+                .attr_mut(attr)
                 .eq
                 .entry(key)
                 .or_default()
                 .push(pos),
             Class::Interval(attr, lo, hi) => {
-                let aidx = self.index.attrs.entry(attr).or_default();
+                let aidx = self.index.attr_mut(attr);
                 aidx.intervals.push(pos);
                 if let Some(grid) = aidx.grid.as_mut() {
                     grid.insert(pos, lo, hi);
@@ -445,29 +527,34 @@ impl FilterTable {
             }
             Class::Scan => self.index.scan.push(pos),
         }
-        self.index.dup.entry((peer, h)).or_default().push(pos);
+        debug_assert_eq!(
+            self.index.dup_next.len(),
+            pos as usize,
+            "slots link in order"
+        );
+        let older = self.index.dup.insert((peer, h), pos).unwrap_or(NONE);
+        self.index.dup_next.push(older);
         self.index.by_peer.entry(peer).or_default().push(pos);
     }
 
     /// Tombstone a live position and unlink it from every index.
     fn kill(&mut self, pos: u32) {
-        debug_assert!(self.live[pos as usize]);
-        self.live[pos as usize] = false;
+        debug_assert!(self.peers[pos as usize].is_some());
+        self.peers[pos as usize] = None;
         self.live_count -= 1;
         let e = &self.entries[pos as usize];
         let peer = e.peer;
         let h = filter_hash(&e.filter);
-        let class = classify(&e.filter);
-        match class {
+        match classify(&e.filter) {
             Class::Eq(attr, key) => {
-                if let Some(aidx) = self.index.attrs.get_mut(&attr) {
+                if let Some(aidx) = self.index.attr(attr) {
                     if let Some(bucket) = aidx.eq.get_mut(&key) {
                         bucket.retain(|&p| p != pos);
                     }
                 }
             }
             Class::Interval(attr, lo, hi) => {
-                if let Some(aidx) = self.index.attrs.get_mut(&attr) {
+                if let Some(aidx) = self.index.attr(attr) {
                     aidx.intervals.retain(|&p| p != pos);
                     if let Some(grid) = aidx.grid.as_mut() {
                         grid.remove(pos, lo, hi);
@@ -476,11 +563,20 @@ impl FilterTable {
             }
             Class::Scan => self.index.scan.retain(|&p| p != pos),
         }
-        if let Some(bucket) = self.index.dup.get_mut(&(peer, h)) {
-            bucket.retain(|&p| p != pos);
-            if bucket.is_empty() {
-                self.index.dup.remove(&(peer, h));
+        let key = (peer, h);
+        let older = self.index.dup_next[pos as usize];
+        let mut at = self.index.dup[&key];
+        if at == pos {
+            if older == NONE {
+                self.index.dup.remove(&key);
+            } else {
+                self.index.dup.insert(key, older);
             }
+        } else {
+            while self.index.dup_next[at as usize] != pos {
+                at = self.index.dup_next[at as usize];
+            }
+            self.index.dup_next[at as usize] = older;
         }
         if let Some(positions) = self.index.by_peer.get_mut(&peer) {
             positions.retain(|&p| p != pos);
@@ -494,13 +590,13 @@ impl FilterTable {
         if dead <= self.live_count.max(64) {
             return;
         }
-        let mut alive = self.live.iter();
+        let mut slots = self.peers.iter();
         self.entries
-            .retain(|_| *alive.next().expect("parallel vecs"));
-        let mut alive = self.live.iter();
-        self.hulls.retain(|_| *alive.next().expect("parallel vecs"));
-        self.live.clear();
-        self.live.resize(self.entries.len(), true);
+            .retain(|_| slots.next().expect("parallel vecs").is_some());
+        let mut slots = self.peers.iter();
+        self.hulls
+            .retain(|_| slots.next().expect("parallel vecs").is_some());
+        self.peers.retain(Option::is_some);
         self.live_count = self.entries.len();
         self.index = TableIndex::default();
         for pos in 0..self.entries.len() as u32 {
@@ -510,11 +606,15 @@ impl FilterTable {
 
     /// The live position holding exactly `(peer, filter)`, if any.
     fn position_of(&self, peer: Peer, filter: &Filter) -> Option<u32> {
-        let bucket = self.index.dup.get(&(peer, filter_hash(filter)))?;
-        bucket
-            .iter()
-            .copied()
-            .find(|&p| self.live[p as usize] && &self.entries[p as usize].filter == filter)
+        let mut at = *self.index.dup.get(&(peer, filter_hash(filter)))?;
+        while at != NONE {
+            debug_assert!(self.peers[at as usize].is_some(), "dup chains are live");
+            if &self.entries[at as usize].filter == filter {
+                return Some(at);
+            }
+            at = self.index.dup_next[at as usize];
+        }
+        None
     }
 
     /// Add an unlabeled entry. Duplicate `(peer, filter)` pairs are ignored
@@ -537,7 +637,7 @@ impl FilterTable {
             filter,
             accept_only_from: label,
         });
-        self.live.push(true);
+        self.peers.push(Some(peer));
         self.live_count += 1;
         self.link(pos);
         true
@@ -563,7 +663,7 @@ impl FilterTable {
         };
         let mut removed = Vec::with_capacity(positions.len());
         for pos in positions {
-            if self.live[pos as usize] {
+            if self.peers[pos as usize].is_some() {
                 removed.push(self.entries[pos as usize].filter.clone());
                 self.kill(pos);
             }
@@ -583,7 +683,7 @@ impl FilterTable {
         match self.index.by_peer.get(&peer) {
             Some(positions) => positions
                 .iter()
-                .filter(|&&p| self.live[p as usize])
+                .filter(|&&p| self.peers[p as usize].is_some())
                 .map(|&p| &self.entries[p as usize].filter)
                 .collect(),
             None => Vec::new(),
@@ -615,57 +715,88 @@ impl FilterTable {
     /// * labeled entries only match when the event arrived from the label.
     ///
     /// Each peer is returned at most once even if several of its filters
-    /// match. Candidate entries come from the per-attribute equality maps
-    /// and interval grids plus the residual scan list; probing them in
-    /// ascending position keeps the result order identical to a plain
-    /// in-order scan of the table.
+    /// match, in the order a plain in-order scan of the table finds them.
+    /// Allocates the result; the broker's hot path uses
+    /// [`FilterTable::matching_targets_into`].
     pub fn matching_targets(&mut self, event: &Event, from: Peer) -> Vec<Peer> {
-        let mut cand: Vec<u32> = self.index.scan.clone();
+        let mut out = Vec::new();
+        self.matching_targets_into(event, from, &mut out);
+        out
+    }
+
+    /// [`FilterTable::matching_targets`] into a caller-owned buffer, which
+    /// is cleared first.
+    ///
+    /// Candidate positions come from the per-attribute equality maps and
+    /// interval grids plus the residual scan list. Every one of those lists
+    /// is ascending, and an entry sits in at most one list a probe reads, so
+    /// candidates from a single list are already in entry order; only
+    /// candidates gathered from several lists are sorted. The work is
+    /// output-sensitive: a candidate is first judged by its slot in the
+    /// dense peer column, and only a peer that is neither `from` nor
+    /// already chosen has its entry's label and [`Filter`] read.
+    pub fn matching_targets_into(&mut self, event: &Event, from: Peer, out: &mut Vec<Peer>) {
+        out.clear();
+        let cand = &mut self.cand;
+        cand.clear();
+        cand.extend_from_slice(&self.index.scan);
+        let mut sources = usize::from(!cand.is_empty());
         for (attr, aidx) in self.index.attrs.iter_mut() {
             let Some(value) = event.get(attr) else {
                 continue;
             };
             if !aidx.eq.is_empty() {
                 if let Some(hits) = aidx.eq.get(&ValueKey::of(value)) {
+                    sources += usize::from(!hits.is_empty());
                     cand.extend_from_slice(hits);
                 }
             }
             if !aidx.intervals.is_empty() {
                 if let Some(v) = value.as_f64() {
-                    let grid = aidx.grid_mut(&self.entries, &self.live);
-                    cand.extend_from_slice(&grid.buckets[grid.bucket_of(v)]);
+                    let grid = aidx.grid_mut(&self.entries);
+                    let hits = &grid.buckets[grid.bucket_of(v)];
+                    sources += usize::from(!hits.is_empty());
+                    cand.extend_from_slice(hits);
                 }
             }
         }
-        cand.sort_unstable();
-        let mut out: Vec<Peer> = Vec::new();
-        for &pos in &cand {
-            if !self.live[pos as usize] {
+        if sources > 1 {
+            cand.sort_unstable();
+        } else {
+            debug_assert!(
+                cand.windows(2).all(|w| w[0] < w[1]),
+                "a single index list is ascending"
+            );
+        }
+        // The in-order scan pushes an entry's peer when the peer is not
+        // `from`, the label (if any) is `from`, the filter matches and the
+        // peer is not yet in `out`. The checks are a conjunction and `out`
+        // only grows, so testing the peer first gives the same pushes.
+        for &pos in cand.iter() {
+            let Some(peer) = self.peers[pos as usize] else {
+                continue;
+            };
+            if peer == from || out.contains(&peer) {
                 continue;
             }
             let e = &self.entries[pos as usize];
-            if e.peer == from {
+            if e.accept_only_from.is_some_and(|label| label != from) {
                 continue;
             }
-            if let Some(label) = e.accept_only_from {
-                if label != from {
-                    continue;
-                }
-            }
-            if e.filter.matches(event) && !out.contains(&e.peer) {
-                out.push(e.peer);
+            if e.filter.matches(event) {
+                out.push(peer);
             }
         }
-        out
     }
 
-    /// Live entries whose hull passes `may`, in ascending position.
+    /// Live entries whose hull passes `may`, in ascending position. The
+    /// hull is tested first, so the peer column is read only for survivors.
     fn hull_candidates(&self, may: impl Fn(Hull) -> bool) -> impl Iterator<Item = &FilterEntry> {
         self.hulls
             .iter()
-            .zip(&self.live)
+            .zip(&self.peers)
             .zip(&self.entries)
-            .filter_map(move |((&h, &alive), e)| (alive && may(h)).then_some(e))
+            .filter_map(move |((&h, slot), e)| (may(h) && slot.is_some()).then_some(e))
     }
 
     /// Is there an entry from a peer other than `except` whose filter covers
@@ -826,6 +957,25 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_key_chains_unlink_in_any_order() {
+        // NaN filters never equal themselves: every add is a new entry
+        // under the same duplicate key, so one key chains several slots.
+        let nan = Filter::single("v", Op::Eq, f64::NAN);
+        let mut t = FilterTable::new();
+        for _ in 0..3 {
+            assert!(t.add(C1, nan.clone()));
+        }
+        t.add(C1, f(1));
+        // Removal runs oldest first: tail, middle, then head of the chain.
+        assert_eq!(t.remove_peer(C1).len(), 4);
+        assert!(t.add(C1, nan.clone()));
+        assert!(!t.contains(C1, &nan));
+        assert!(t.add(C1, f(1)));
+        assert!(t.contains(C1, &f(1)));
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
     fn cross_type_numeric_eq_entries_still_match() {
         // eq_value treats Int(3) and Float(3.0) as equal; the equality map
         // must keep that semantics for single-Eq entries.
@@ -878,6 +1028,25 @@ mod tests {
         assert_eq!(targets, matching);
     }
 
+    /// The original matcher: an in-order linear scan of every live entry.
+    fn reference(t: &FilterTable, event: &Event, from: Peer) -> Vec<Peer> {
+        let mut out: Vec<Peer> = Vec::new();
+        for e in t.entries() {
+            if e.peer == from {
+                continue;
+            }
+            if let Some(label) = e.accept_only_from {
+                if label != from {
+                    continue;
+                }
+            }
+            if e.filter.matches(event) && !out.contains(&e.peer) {
+                out.push(e.peer);
+            }
+        }
+        out
+    }
+
     /// Differential check: the indexed matcher must return exactly what the
     /// original in-order linear scan returned, across random tables, random
     /// events, and interleaved removals (which exercise tombstones, grid
@@ -885,24 +1054,6 @@ mod tests {
     #[test]
     fn indexed_matching_equals_linear_scan() {
         use mhh_simnet::random::DetRng;
-
-        fn reference(t: &FilterTable, event: &Event, from: Peer) -> Vec<Peer> {
-            let mut out: Vec<Peer> = Vec::new();
-            for e in t.entries() {
-                if e.peer == from {
-                    continue;
-                }
-                if let Some(label) = e.accept_only_from {
-                    if label != from {
-                        continue;
-                    }
-                }
-                if e.filter.matches(event) && !out.contains(&e.peer) {
-                    out.push(e.peer);
-                }
-            }
-            out
-        }
 
         let mut rng = DetRng::new(0xf117_ab1e);
         let peer = |rng: &mut DetRng| -> Peer {
@@ -959,6 +1110,136 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Differential check at city shape: 2,400 `lo <= v < hi` windows, most
+    /// behind 3–6 broker neighbors (one of them holding about half) and one
+    /// per local client, some labeled; events arrive from the populous
+    /// neighbor, the others, a client and a stranger. Three phases: windows
+    /// plus single-`Eq` entries (an event carrying one attribute reads one
+    /// index list, the unsorted path), then tombstones and compaction, then
+    /// residual-scan entries (every event reads several lists, the sorted
+    /// path). The label case the peer-first check must get right — a
+    /// peer's first matching entry rejected by its label, a later one
+    /// accepted — is counted and required.
+    #[test]
+    fn city_shaped_matching_equals_linear_scan() {
+        use mhh_simnet::random::DetRng;
+
+        let mut rng = DetRng::new(0x00c1_7f5a);
+        let brokers = 3 + rng.index(4) as u32;
+        let broker = |rng: &mut DetRng| -> Peer {
+            let b = if rng.chance(0.5) {
+                0
+            } else {
+                rng.index(brokers as usize)
+            };
+            Peer::Broker(BrokerId(b as u32))
+        };
+        let window = |rng: &mut DetRng| -> Filter {
+            let lo = rng.range_f64(0.0, 0.9375);
+            Filter::single("v", Op::Ge, lo).and("v", Op::Lt, lo + 0.0625)
+        };
+        let mut t = FilterTable::new();
+        for i in 0..2400u32 {
+            if i % 16 == 0 {
+                let label = rng.chance(0.25).then(|| broker(&mut rng));
+                t.add_labeled(Peer::Client(ClientId(i)), window(&mut rng), label);
+            } else {
+                let label = rng.chance(0.05).then(|| broker(&mut rng));
+                t.add_labeled(broker(&mut rng), window(&mut rng), label);
+            }
+            if i % 40 == 0 {
+                t.add(broker(&mut rng), f(rng.index(8) as i64));
+            }
+        }
+        assert!(t.len() >= 2048);
+
+        let mut label_then_match = 0;
+        let mut check = |t: &mut FilterTable, rng: &mut DetRng, attrs: &[&str]| {
+            for _ in 0..300 {
+                let mut b = EventBuilder::new();
+                for &attr in attrs {
+                    b = match attr {
+                        "v" => b.attr("v", rng.next_f64()),
+                        _ => b.attr(attr, rng.index(8) as i64),
+                    };
+                }
+                let event = b.build(1, ClientId(0), 0);
+                let from = match rng.index(5) {
+                    0 | 1 => Peer::Broker(BrokerId(0)),
+                    2 => Peer::Broker(BrokerId(1 + rng.index(brokers as usize - 1) as u32)),
+                    3 => Peer::Client(ClientId(16 * rng.index(150) as u32)),
+                    _ => Peer::Broker(BrokerId(99)),
+                };
+                // Per peer, whether its first matching entry was rejected.
+                let mut first: Vec<(Peer, bool)> = Vec::new();
+                for e in t.entries() {
+                    if e.peer == from || !e.filter.matches(&event) {
+                        continue;
+                    }
+                    let rejected = e.accept_only_from.is_some_and(|l| l != from);
+                    match first.iter().find(|(p, _)| *p == e.peer) {
+                        None => first.push((e.peer, rejected)),
+                        Some(&(_, true)) if !rejected => label_then_match += 1,
+                        Some(_) => {}
+                    }
+                }
+                assert_eq!(
+                    t.matching_targets(&event, from),
+                    reference(t, &event, from),
+                    "index diverged from linear scan"
+                );
+            }
+        };
+
+        // Phase 1: grid only, eq only, then both.
+        check(&mut t, &mut rng, &["v"]);
+        check(&mut t, &mut rng, &["group"]);
+        check(&mut t, &mut rng, &["v", "group"]);
+
+        // Phase 2: tombstones, then a compaction.
+        let slots = t.entries.len();
+        for i in (0..2400u32).step_by(32) {
+            t.remove_peer(Peer::Client(ClientId(i)));
+        }
+        check(&mut t, &mut rng, &["v"]);
+        let victims: Vec<(Peer, Filter)> = t
+            .entries()
+            .filter(|_| rng.chance(0.6))
+            .map(|e| (e.peer, e.filter.clone()))
+            .collect();
+        for (p, filter) in victims {
+            assert!(t.remove(p, &filter));
+        }
+        assert!(t.entries.len() < slots, "the removals must compact");
+        for i in 0..600u32 {
+            t.add(broker(&mut rng), window(&mut rng));
+            t.add(Peer::Client(ClientId(10_000 + i)), window(&mut rng));
+        }
+        check(&mut t, &mut rng, &["v"]);
+        check(&mut t, &mut rng, &["v", "group"]);
+
+        // Phase 3: residual-scan entries join every probe.
+        for i in 0..64u32 {
+            let filter = match i % 3 {
+                0 => window(&mut rng).and("group", Op::Ge, rng.index(8) as i64),
+                1 => Filter::single("group", Op::Ne, rng.index(8) as i64),
+                _ => Filter::match_all(),
+            };
+            if i % 2 == 0 {
+                t.add(broker(&mut rng), filter);
+            } else {
+                t.add(Peer::Client(ClientId(20_000 + i)), filter);
+            }
+        }
+        check(&mut t, &mut rng, &["v"]);
+        check(&mut t, &mut rng, &["v", "group"]);
+        check(&mut t, &mut rng, &["other"]);
+        assert!(
+            label_then_match > 0,
+            "some peer's first match must be label-rejected and a later one accepted"
+        );
     }
 
     /// Differential check of the covering queries: the hull-prefiltered

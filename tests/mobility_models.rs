@@ -229,15 +229,19 @@ fn parallel_sweeps_are_byte_identical_to_serial() {
 /// assertions flake when sibling tests contend for the same cores (CI
 /// machines are small), and the tracked evidence lives in
 /// `BENCH_mobility.json` anyway. Run explicitly on an otherwise-idle
-/// ≥ 4-core machine: `cargo test --release -- --ignored speedup`.
+/// multicore machine: `cargo test --release -- --ignored speedup`.
+///
+/// The bar is 60 % parallel efficiency, capped at 1.5×: 1.2× on 2 workers,
+/// 1.5× on 3 or more. One worker has nothing to measure.
 #[test]
 #[ignore = "wall-clock sensitive; run explicitly on an idle multicore machine"]
 fn parallel_sweep_speedup_on_multicore() {
     let workers = available_workers();
-    if workers < 4 {
-        eprintln!("skipping speedup assertion: only {workers} worker(s) available");
+    if workers < 2 {
+        eprintln!("skipping speedup assertion: only {workers} worker available");
         return;
     }
+    let threshold = (0.6 * workers as f64).min(1.5);
     let base = matrix_base();
     let sweep = [5.0, 20.0, 60.0, 120.0];
     let t0 = std::time::Instant::now();
@@ -251,9 +255,10 @@ fn parallel_sweep_speedup_on_multicore() {
         format!("{:?}", parallel.points)
     );
     let speedup = serial_s / parallel_s;
+    eprintln!("speedup {speedup:.2}x on {workers} workers (bar {threshold:.2}x)");
     assert!(
-        speedup > 1.5,
-        "expected >1.5x speedup on {workers} workers, measured {speedup:.2}x \
+        speedup > threshold,
+        "expected >{threshold:.2}x speedup on {workers} workers, measured {speedup:.2}x \
          (serial {serial_s:.2}s, parallel {parallel_s:.2}s)"
     );
 }
