@@ -226,10 +226,9 @@ fn engine_trajectory() {
     };
     let scenario_points = [
         ("bench-fig5-base", bench_base()),
-        ("city-scale-short", city_short.clone()),
+        ("city-scale-short", city_short),
     ];
     let mut scenario_rows = Vec::new();
-    let mut city_baseline: Option<(String, f64)> = None;
     for (name, config) in scenario_points {
         let t = Instant::now();
         let (result, perf) = run_scenario_perf(&config, Protocol::Mhh);
@@ -248,9 +247,6 @@ fn engine_trajectory() {
             100.0 * phases.stats_ns as f64 / total_ns,
         );
         assert!(result.reliable(), "{name}: MHH must stay reliable");
-        if name == "city-scale-short" {
-            city_baseline = Some((format!("{result:?}"), wall));
-        }
         scenario_rows.push(Json::obj(vec![
             ("scenario", Json::str(name)),
             ("protocol", Json::str("MHH")),
@@ -280,44 +276,6 @@ fn engine_trajectory() {
                 "phase_stats_frac",
                 Json::Num(phases.stats_ns as f64 / total_ns),
             ),
-        ]));
-    }
-
-    // Parallel-backend trajectory: the windowed engine on the city-scale
-    // point, serial baseline vs 1/2/4/8 shards. Every worker count must
-    // reproduce the serial metrics byte for byte; `speedup` is wall-clock
-    // against the serial timing pass above, so on a single-core host it
-    // honestly records the windowing overhead instead of a thread win.
-    let (city_metrics, city_serial_wall) =
-        city_baseline.expect("the city-scale point is in the scenario table");
-    let worker_points: &[usize] = if criterion::fast_mode() {
-        &[4]
-    } else {
-        &[1, 2, 4, 8]
-    };
-    let mut worker_rows = Vec::new();
-    for &shards in worker_points {
-        let config = ScenarioConfig {
-            engine_workers: shards,
-            ..city_short.clone()
-        };
-        let t = Instant::now();
-        let result = run_scenario(&config, Protocol::Mhh);
-        let wall = t.elapsed().as_secs_f64();
-        assert_eq!(
-            format!("{result:?}"),
-            city_metrics,
-            "engine_workers={shards} must not change any metric"
-        );
-        let speedup = city_serial_wall / wall;
-        println!(
-            "engine_parallel/city-scale-short workers={shards} wall {wall:.2}s \
-             (speedup {speedup:.2}x vs serial {city_serial_wall:.2}s)"
-        );
-        worker_rows.push(Json::obj(vec![
-            ("workers", Json::UInt(shards as u64)),
-            ("wall_s", Json::Num(wall)),
-            ("speedup", Json::Num(speedup)),
         ]));
     }
 
@@ -422,15 +380,6 @@ fn engine_trajectory() {
                     ),
                 ),
                 ("modes", Json::Arr(fanout_rows)),
-            ]),
-        ),
-        (
-            "parallel",
-            Json::obj(vec![
-                ("scenario", Json::str("city-scale-short")),
-                ("serial_wall_s", Json::Num(city_serial_wall)),
-                ("host_workers", Json::UInt(available_workers() as u64)),
-                ("workers", Json::Arr(worker_rows)),
             ]),
         ),
     ]);

@@ -7,19 +7,12 @@
 //! queues), writing each result into its input's slot. Because every point
 //! is a pure function of its input, the output vector is **byte-identical**
 //! to [`map_serial`] on the same inputs, whatever the thread interleaving.
-//!
-//! Sweep points may themselves be parallel (a point running the windowed
-//! parallel engine). The executor budgets the two levels against each other:
-//! each of its `W` workers runs the closure under a
-//! [`with_thread_allowance`] of `workers / W`, so a sweep asked for
-//! `workers` threads never uses more than `workers` threads in total no
-//! matter how many shards the nested engines were configured with.
+//! A sweep asked for `workers` threads spawns at most that many, and each
+//! point runs on exactly one of them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use mhh_simnet::with_thread_allowance;
 
 /// Number of workers the machine supports (≥ 1).
 pub fn available_workers() -> usize {
@@ -94,24 +87,13 @@ where
     let deadline = budget.map(|b| Instant::now() + b);
     let expired = || deadline.is_some_and(|d| Instant::now() >= d);
     if workers <= 1 || items.len() <= 1 {
-        // Single-file execution keeps the whole budget for the point itself
-        // (a lone point may still run a many-shard parallel engine).
-        let allowance = workers.max(1);
-        let mut results = Vec::with_capacity(items.len());
-        for item in items {
-            results.push(if expired() {
-                None
-            } else {
-                Some(with_thread_allowance(allowance, || f(item)))
-            });
-        }
+        let results = items
+            .iter()
+            .map(|item| (!expired()).then(|| f(item)))
+            .collect();
         return collect_budgeted(results);
     }
     let spawned = workers.min(items.len());
-    // Split the thread budget between the two parallelism levels: `spawned`
-    // sweep workers × an allowance of `workers / spawned` engine threads
-    // each never exceeds `workers` threads in total.
-    let allowance = (workers / spawned).max(1);
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<O>>> = Mutex::new((0..items.len()).map(|_| None).collect());
     std::thread::scope(|scope| {
@@ -124,7 +106,7 @@ where
                 if i >= items.len() {
                     break;
                 }
-                let out = with_thread_allowance(allowance, || f(&items[i]));
+                let out = f(&items[i]);
                 slots.lock().expect("sweep worker poisoned the slots")[i] = Some(out);
             });
         }
@@ -213,24 +195,6 @@ mod tests {
         assert!(budgeted.is_complete());
         let unwrapped: Vec<u64> = budgeted.results.into_iter().map(Option::unwrap).collect();
         assert_eq!(unwrapped, map_serial(&items, |x| x * x));
-    }
-
-    #[test]
-    fn nested_thread_budget_reaches_every_point() {
-        use mhh_simnet::thread_allowance;
-        // 8-thread budget over 4 points on 4 workers → each point may use 2.
-        let items: Vec<u32> = (0..4).collect();
-        let seen = map_parallel(&items, 8, |x| (*x, thread_allowance()));
-        assert!(seen.iter().all(|&(_, a)| a == 2), "{seen:?}");
-        // More points than workers → nested engines must run inline.
-        let items: Vec<u32> = (0..16).collect();
-        let seen = map_parallel(&items, 4, |x| (*x, thread_allowance()));
-        assert!(seen.iter().all(|&(_, a)| a == 1), "{seen:?}");
-        // A lone point keeps the whole budget.
-        let seen = map_parallel(&[9u32], 8, |x| (*x, thread_allowance()));
-        assert_eq!(seen, vec![(9, 8)]);
-        // The guard restores the caller's (unlimited) allowance.
-        assert_eq!(thread_allowance(), 0);
     }
 
     #[test]

@@ -240,16 +240,6 @@ impl SimBuilder {
         self
     }
 
-    /// Worker shards for the conservative-parallel engine *inside* each run
-    /// (`0`/`1` = the serial engine; results are byte-identical either way).
-    /// Orthogonal to [`workers`](Self::workers), which fans out *across*
-    /// runs; the sweep executor budgets the two levels against each other so
-    /// `workers(w)` never uses more than `w` threads in total.
-    pub fn engine_workers(mut self, workers: usize) -> Self {
-        self.configure_in_place(|c| c.engine_workers = workers);
-        self
-    }
-
     /// Replace the master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.configure_in_place(|c| c.seed = seed);
@@ -620,30 +610,6 @@ mod tests {
             .unwrap();
         assert_eq!(result.recovery.len(), 1, "one outage window recorded");
         assert!(result.recovery.reconciles_with(&result.audit));
-    }
-
-    #[test]
-    fn nested_sweep_and_parallel_engine_compose_deterministically() {
-        // Sweep fan-out × parallel engine: the executor hands each of its
-        // workers a slice of the 8-thread budget, the nested engines clamp
-        // to it, and every metric stays byte-identical to the fully serial
-        // run — the nested-parallelism acceptance cell.
-        let shrink = |b: SimBuilder| b.grid_side(3).clients_per_broker(2).duration_s(120.0);
-        let serial = shrink(Sim::scenario("trace-smoke"))
-            .workers(1)
-            .run_all()
-            .unwrap();
-        let nested = || {
-            shrink(Sim::scenario("trace-smoke"))
-                .workers(8)
-                .engine_workers(8)
-                .run_all()
-                .unwrap()
-        };
-        let a = nested();
-        let b = nested();
-        assert_eq!(format!("{serial:?}"), format!("{a:?}"));
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -165,11 +165,8 @@ pub struct ScenarioConfig {
     /// Fault-injection plan; empty (the default) keeps the run on the
     /// byte-identical zero-fault fast path.
     pub faults: FaultPlan,
-    /// Worker shards for the conservative-parallel engine. `0` (the default)
-    /// and `1` run the serial engine; `k > 1` partitions brokers into `k`
-    /// contiguous blocks (clients follow their home broker) and runs the
-    /// windowed parallel engine. Either way the delivery sequence — and
-    /// therefore every metric — is byte-identical.
+    /// Ignored: read by nothing. Every run uses the serial engine. Kept only
+    /// so existing struct literals that name it still compile.
     pub engine_workers: usize,
     /// Mean modeled application-payload size in bytes. `0` (the default)
     /// turns payload modeling off entirely: events carry no wire size, no
@@ -431,13 +428,6 @@ impl ScenarioConfig {
     /// plan restores the zero-fault fast path.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Replace the parallel-engine worker count, keeping everything else.
-    /// `0`/`1` run the serial engine; results are byte-identical regardless.
-    pub fn with_engine_workers(mut self, workers: usize) -> Self {
-        self.engine_workers = workers;
         self
     }
 

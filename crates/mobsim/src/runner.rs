@@ -71,25 +71,19 @@ pub fn run_scenario_perf(config: &ScenarioConfig, protocol: Protocol) -> (RunRes
     (result, perf)
 }
 
-/// [`run_scenario_perf`] plus the serial engine's per-phase cost breakdown
-/// (queue / clocks / protocol / stats nanoseconds). Profiling is a
-/// serial-engine feature, so the run is forced onto the serial backend
-/// whatever `engine_workers` says; the metrics half stays byte-identical to
-/// an unprofiled serial run. The timer reads add per-delivery overhead, so
-/// report throughput from a separate unprofiled pass.
+/// [`run_scenario_perf`] plus the engine's per-phase cost breakdown
+/// (queue / clocks / protocol / stats nanoseconds). The metrics half stays
+/// byte-identical to an unprofiled run. The timer reads add per-delivery
+/// overhead, so report throughput from a separate unprofiled pass.
 pub fn run_scenario_phases(
     config: &ScenarioConfig,
     protocol: Protocol,
 ) -> (RunResult, EnginePerf, PhaseBreakdown) {
-    let serial = ScenarioConfig {
-        engine_workers: 0,
-        ..config.clone()
-    };
-    let (result, perf, phases) = run_scenario_full(&serial, protocol, true);
+    let (result, perf, phases) = run_scenario_full(config, protocol, true);
     (
         result,
         perf,
-        phases.expect("the serial engine was asked to profile"),
+        phases.expect("the engine was asked to profile"),
     )
 }
 
@@ -158,9 +152,7 @@ pub fn run_spec_perf(config: &ScenarioConfig, spec: &ProtocolSpec) -> (RunResult
         factory,
         arena,
     );
-    if let Some(arena) = arena {
-        SWEEP_ARENA.set(Some(arena));
-    }
+    SWEEP_ARENA.set(Some(arena));
     (result, perf)
 }
 
@@ -198,10 +190,7 @@ where
     (result, perf, phases)
 }
 
-/// [`run_with`] threading a recycled storage arena in and back out (`None`
-/// comes back when the run used the parallel backend, whose storage is
-/// sharded and not recyclable).
-#[allow(clippy::type_complexity)]
+/// [`run_with`] threading a recycled storage arena in and back out.
 fn run_with_arena<P, F>(
     config: &ScenarioConfig,
     network: Arc<Network>,
@@ -214,7 +203,7 @@ fn run_with_arena<P, F>(
     RunResult,
     EnginePerf,
     Option<PhaseBreakdown>,
-    Option<EngineArena<NetMsg<P::Msg>>>,
+    EngineArena<NetMsg<P::Msg>>,
 )
 where
     P: MobilityProtocol,
@@ -493,32 +482,6 @@ mod tests {
             perf.alloc_events,
             perf.deliveries
         );
-    }
-
-    #[test]
-    fn parallel_engine_runs_are_byte_identical_to_serial() {
-        // The full metrics pipeline — delivery audit, handover ledger,
-        // recovery ledger, traffic stats — as the equality oracle, across
-        // worker counts, on both the constant-latency fast path and the
-        // jittered + crash-storm slow path.
-        let constant = tiny();
-        let jittered = tiny()
-            .with_jitter_ms(5)
-            .with_faults(crate::config::FaultPlan {
-                crash_storm: Some((3, 30.0)),
-                ..crate::config::FaultPlan::default()
-            });
-        for cfg in [constant, jittered] {
-            let serial = run_scenario(&cfg, Protocol::Mhh);
-            for workers in [2, 4, 8] {
-                let par = run_scenario(&cfg.clone().with_engine_workers(workers), Protocol::Mhh);
-                assert_eq!(
-                    format!("{serial:?}"),
-                    format!("{par:?}"),
-                    "engine_workers={workers} must not change any metric"
-                );
-            }
-        }
     }
 
     #[test]

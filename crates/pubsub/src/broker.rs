@@ -204,7 +204,7 @@ impl<'a> BrokerCtx<'a, BoxedMsg> {
 /// The same trait is implemented by the paper's MHH protocol (`mhh-core`)
 /// and by the two baselines (`mhh-baselines`), which is what lets the
 /// evaluation harness run all three on identical workloads.
-pub trait MobilityProtocol: Sized + Send {
+pub trait MobilityProtocol: Sized {
     /// The protocol's own message enum.
     type Msg: ProtocolMessage;
 

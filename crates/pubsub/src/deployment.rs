@@ -4,15 +4,14 @@
 //! The evaluation harness (`mhh-mobsim`), the protocol crates' own tests and
 //! the examples all need the same boilerplate: a grid [`Network`], one
 //! [`Broker`] per base station, a set of [`ClientNode`]s with their
-//! subscriptions pre-installed, and an [`AnyEngine`] (serial or sharded
-//! parallel) over the union of the two node populations. [`Deployment`]
-//! packages that.
+//! subscriptions pre-installed, and an [`Engine`] over the union of the two
+//! node populations. [`Deployment`] packages that.
 
 use std::sync::Arc;
 
 use mhh_simnet::{
-    AnyEngine, Context, EngineArena, Envelope, Fabric, GridFabric, JitteredFabric, LinkModel,
-    Network, Node, Partition, SimDuration, SimTime, TopologyKind,
+    Context, Engine, EngineArena, Envelope, Fabric, GridFabric, JitteredFabric, LinkModel, Network,
+    Node, SimDuration, SimTime, TopologyKind,
 };
 
 use crate::address::{AddressBook, BrokerId, ClientId};
@@ -82,11 +81,9 @@ pub struct DeploymentConfig {
     pub link_model: Option<LinkModel>,
     /// Whether brokers apply the covering optimisation.
     pub covering: bool,
-    /// Worker shards for the conservative-parallel engine. `0` and `1` run
-    /// the serial [`Engine`](mhh_simnet::Engine); `k > 1` partitions brokers
-    /// into `k` contiguous blocks (clients follow their home broker) and runs
-    /// the [`mhh_simnet::ParallelEngine`], which reconstructs the serial
-    /// delivery sequence byte for byte — results are identical either way.
+    /// Ignored: read by nothing. Every deployment runs on the serial
+    /// [`Engine`]. Kept only so existing struct literals that name it still
+    /// compile.
     pub engine_workers: usize,
     /// How brokers materialize event wire forms during fan-out: serialize
     /// once and share ([`FanoutMode::Cached`], the default) or render per
@@ -153,9 +150,8 @@ pub struct Deployment<P: MobilityProtocol> {
     pub network: Arc<Network>,
     /// The address book.
     pub book: AddressBook,
-    /// The engine holding all broker and client nodes (serial or parallel
-    /// per [`DeploymentConfig::engine_workers`]; same results either way).
-    pub engine: AnyEngine<NetMsg<P::Msg>, SimNode<P>>,
+    /// The engine holding all broker and client nodes.
+    pub engine: Engine<NetMsg<P::Msg>, SimNode<P>>,
 }
 
 /// Description of one client to create.
@@ -204,11 +200,9 @@ impl<P: MobilityProtocol> Deployment<P> {
     }
 
     /// [`build_on`](Self::build_on) reusing a recycled
-    /// [`EngineArena`] (from [`AnyEngine::recycle`]) so sweep workers
+    /// [`EngineArena`] (from [`Engine::recycle`]) so sweep workers
     /// running many deployments back to back stop re-growing the engine's
-    /// event-queue, clock and scratch storage on every run. The arena only
-    /// feeds the serial backend; a parallel build (`engine_workers > 1`)
-    /// uses sharded storage and drops it.
+    /// event-queue, clock and scratch storage on every run.
     pub fn build_on_in(
         network: Arc<Network>,
         config: &DeploymentConfig,
@@ -267,17 +261,10 @@ impl<P: MobilityProtocol> Deployment<P> {
 
         let mut nodes: Vec<SimNode<P>> = brokers.into_iter().map(SimNode::Broker).collect();
         nodes.extend(client_nodes.into_iter().map(SimNode::Client));
-        let engine = if config.engine_workers > 1 {
-            let homes: Vec<usize> = clients.iter().map(|s| s.home.0 as usize).collect();
-            let partition = Partition::broker_blocks(&network, &homes, config.engine_workers);
-            AnyEngine::parallel(nodes, fabric, &partition)
-        } else {
-            AnyEngine::serial_in(nodes, fabric, arena)
-        };
         Deployment {
             network,
             book,
-            engine,
+            engine: Engine::new_in(nodes, fabric, arena),
         }
     }
 
@@ -435,31 +422,6 @@ mod tests {
         assert_eq!(dep.clients().count(), 5);
         assert_eq!(dep.brokers().count(), 9);
         assert!(dep.client(ClientId(0)).current_broker.is_some());
-    }
-
-    #[test]
-    fn parallel_deployment_matches_serial() {
-        let clients = specs(6, 9);
-        let event = EventBuilder::new()
-            .attr("group", 1i64)
-            .build(1, ClientId(2), 0);
-        let run = |workers: usize| {
-            let config = DeploymentConfig {
-                engine_workers: workers,
-                ..DeploymentConfig::default()
-            };
-            let mut dep: Deployment<NoProtocol> =
-                Deployment::build(&config, &clients, |_| NoProtocol);
-            dep.schedule_publish(SimTime::from_millis(1), ClientId(2), event.clone());
-            dep.engine.run_to_completion();
-            let received: Vec<String> =
-                dep.clients().map(|c| format!("{:?}", c.received)).collect();
-            (received, format!("{:?}", dep.engine.stats()))
-        };
-        let serial = run(0);
-        for workers in [2, 4, 8] {
-            assert_eq!(run(workers), serial, "workers={workers}");
-        }
     }
 
     #[test]

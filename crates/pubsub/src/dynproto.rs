@@ -38,7 +38,7 @@ use crate::messages::{ConnectInfo, ProtocolMessage};
 
 /// Object-safe view of one protocol message: everything [`ProtocolMessage`]
 /// offers, plus cloning and downcasting through the box.
-trait ErasedMessage: fmt::Debug + Send {
+trait ErasedMessage: fmt::Debug {
     fn kind(&self) -> &'static str;
     fn traffic_class(&self) -> TrafficClass;
     fn wire_bytes(&self) -> u32;
@@ -129,7 +129,7 @@ impl ProtocolMessage for BoxedMsg {
 /// protocol's message type erased to [`BoxedMsg`]. Implement it directly
 /// for a natively type-erased protocol, or get it for free for any concrete
 /// protocol via [`ErasedProtocol`] / [`erase`].
-pub trait DynProtocol: Send {
+pub trait DynProtocol {
     /// Human-readable protocol name (used in reports).
     fn name(&self) -> &'static str;
 

@@ -505,11 +505,10 @@ impl FilterTable {
     }
 
     /// Register a (new) position in every index. The entry must already be
-    /// pushed and live.
-    fn link(&mut self, pos: u32) {
+    /// pushed and live; `h` is its [`filter_hash`].
+    fn link(&mut self, pos: u32, h: u64) {
         let e = &self.entries[pos as usize];
         let peer = e.peer;
-        let h = filter_hash(&e.filter);
         match classify(&e.filter) {
             Class::Eq(attr, key) => self
                 .index
@@ -600,13 +599,20 @@ impl FilterTable {
         self.live_count = self.entries.len();
         self.index = TableIndex::default();
         for pos in 0..self.entries.len() as u32 {
-            self.link(pos);
+            let h = filter_hash(&self.entries[pos as usize].filter);
+            self.link(pos, h);
         }
     }
 
     /// The live position holding exactly `(peer, filter)`, if any.
     fn position_of(&self, peer: Peer, filter: &Filter) -> Option<u32> {
-        let mut at = *self.index.dup.get(&(peer, filter_hash(filter)))?;
+        self.position_hashed(peer, filter, filter_hash(filter))
+    }
+
+    /// [`position_of`](Self::position_of) with the filter's hash already
+    /// computed.
+    fn position_hashed(&self, peer: Peer, filter: &Filter, h: u64) -> Option<u32> {
+        let mut at = *self.index.dup.get(&(peer, h))?;
         while at != NONE {
             debug_assert!(self.peers[at as usize].is_some(), "dup chains are live");
             if &self.entries[at as usize].filter == filter {
@@ -626,7 +632,8 @@ impl FilterTable {
     /// Add an entry with an accept-only-from label.
     /// Returns `true` when the entry was actually inserted.
     pub fn add_labeled(&mut self, peer: Peer, filter: Filter, label: Option<Peer>) -> bool {
-        if self.position_of(peer, &filter).is_some() {
+        let h = filter_hash(&filter);
+        if self.position_hashed(peer, &filter, h).is_some() {
             return false;
         }
         self.maybe_compact();
@@ -639,7 +646,7 @@ impl FilterTable {
         });
         self.peers.push(Some(peer));
         self.live_count += 1;
-        self.link(pos);
+        self.link(pos, h);
         true
     }
 

@@ -18,7 +18,7 @@ use crate::repair::BrokerCheckpoint;
 /// The `'static` bound is what lets a message be type-erased into a
 /// [`BoxedMsg`](crate::dynproto::BoxedMsg) for dyn-dispatched protocols; all
 /// protocol message enums are owned data, so the bound costs nothing.
-pub trait ProtocolMessage: Clone + std::fmt::Debug + Send + 'static {
+pub trait ProtocolMessage: Clone + std::fmt::Debug + 'static {
     /// Short label for traffic breakdowns (e.g. `"sub_migration"`).
     fn kind(&self) -> &'static str;
     /// Traffic class for the overhead metric. Protocol control messages are

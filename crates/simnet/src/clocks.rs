@@ -11,9 +11,7 @@
 //!   far. Variable fabrics ([`JitteredFabric`](crate::fabric::JitteredFabric))
 //!   key their per-message jitter off `(from, to, link send index)` instead
 //!   of a global sequence number, which makes every link's latency stream a
-//!   *local* property: a partitioned engine that owns the sender's link
-//!   state reproduces the serial engine's samples exactly, with no global
-//!   coordination (see `parallel`).
+//!   *local* property: traffic on other links never shifts its samples.
 //!
 //! Both live in one 16-byte entry so the per-send hot path touches a single
 //! cache line. The table sits on that hot path, so its representation
@@ -213,9 +211,8 @@ impl LinkClocks {
         LinkClocks { repr }
     }
 
-    /// The sharded representation regardless of node count (tests compare
-    /// it against the dense table on identical traffic; the parallel
-    /// engine's per-shard tables use it to avoid `K` dense n² copies).
+    /// The sharded representation regardless of node count, so tests can
+    /// compare it against the dense table on identical traffic.
     pub fn sharded() -> Self {
         LinkClocks {
             repr: Repr::sharded(),

@@ -68,8 +68,7 @@ pub struct Envelope<M> {
     /// (always [`LinkFate::Intact`] on lossless links, timers and
     /// self-deliveries). Sampling happens at *send* time — where the link
     /// send index is in hand — while the drop itself is recorded at
-    /// *delivery* time, keeping the drop log in delivery order for both the
-    /// serial and the parallel engine.
+    /// *delivery* time, keeping the drop log in delivery order.
     pub fate: LinkFate,
     /// The payload.
     pub msg: M,
@@ -195,8 +194,7 @@ pub enum RunOutcome {
 pub struct EnginePerf {
     /// Messages delivered so far (including timers).
     pub deliveries: u64,
-    /// High-water mark of the future event list (summed across shards for
-    /// the parallel engine, approximating the global in-flight set).
+    /// High-water mark of the future event list.
     pub peak_queue_depth: usize,
     /// Storage growth events across queue slab/heap, clock table and
     /// scratch outbox.
@@ -528,10 +526,8 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     ///
     /// Variable fabrics sample per-message variation keyed off the **link
     /// send index** — how many messages this ordered `(from, to)` pair has
-    /// carried — not the global send sequence. Every send on a link is
-    /// performed by its `from` node, so the index stream is identical under
-    /// any partitioning of the node set: the parallel engine reproduces the
-    /// serial engine's latency samples shard-locally. Constant fabrics
+    /// carried — not the global send sequence, so one link's latency stream
+    /// does not shift when unrelated traffic elsewhere changes. Constant fabrics
     /// ignore the key entirely, which keeps zero-jitter runs byte-identical
     /// across the change.
     fn enqueue_outgoing(&mut self, origin: NodeId, sent_at: SimTime, out: &mut Vec<Outgoing<M>>) {
@@ -765,30 +761,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                 }
             }
         }
-    }
-
-    /// Run a whole reserved timeline to completion: for each `(at, to, msg)`
-    /// entry (which must come pre-sorted by instant, in reservation order),
-    /// drain strictly up to `at`, inject the entry with its reserved low
-    /// sequence number, and finally drain the rest. Equivalent to the
-    /// injection loop the scenario runner used to drive externally — hoisted
-    /// into the engine so a parallel implementation can keep its worker
-    /// threads alive across the whole run instead of re-spawning per
-    /// injection. Requires a prior [`reserve_external_seqs`] covering every
-    /// entry.
-    ///
-    /// [`reserve_external_seqs`]: Self::reserve_external_seqs
-    pub fn run_timeline(
-        &mut self,
-        timeline: impl IntoIterator<Item = (SimTime, NodeId, M)>,
-    ) -> RunOutcome {
-        for (at, to, msg) in timeline {
-            // Intermediate outcomes are horizon reports, not errors; the
-            // delivery budget is re-checked by the final drain.
-            let _ = self.run_strictly_before(at);
-            self.schedule_external_reserved(at, to, msg);
-        }
-        self.run_to_completion()
     }
 
     /// Consume the engine and return its parts (nodes + stats), used by the
@@ -1341,41 +1313,6 @@ mod tests {
             "steady-state deliveries must not grow any engine storage"
         );
         assert!(after.peak_queue_depth >= 1);
-    }
-
-    /// `run_timeline` must replay the exact behaviour of the external
-    /// drain-inject-drain loop it replaces.
-    #[test]
-    fn run_timeline_matches_manual_injection_loop() {
-        let timeline: Vec<(SimTime, NodeId, Toy)> = (0..20u64)
-            .map(|i| (SimTime::from_millis(i * 20), NodeId(0), Toy::Tick))
-            .collect();
-        let run_manual = || {
-            let mut eng = two_node_engine(10);
-            eng.reserve_external_seqs(timeline.len() as u64);
-            for (at, to, msg) in &timeline {
-                eng.run_strictly_before(*at);
-                eng.schedule_external_reserved(*at, *to, msg.clone());
-            }
-            eng.run_to_completion();
-            (
-                eng.node(NodeId(0)).seen.clone(),
-                eng.node(NodeId(1)).seen.clone(),
-                eng.deliveries(),
-            )
-        };
-        let run_via_timeline = || {
-            let mut eng = two_node_engine(10);
-            eng.reserve_external_seqs(timeline.len() as u64);
-            let outcome = eng.run_timeline(timeline.iter().cloned());
-            assert_eq!(outcome, RunOutcome::Drained);
-            (
-                eng.node(NodeId(0)).seen.clone(),
-                eng.node(NodeId(1)).seen.clone(),
-                eng.deliveries(),
-            )
-        };
-        assert_eq!(run_manual(), run_via_timeline());
     }
 
     /// A recycled arena must make the next engine's whole run

@@ -68,22 +68,6 @@ pub trait Fabric: Send + Sync {
     fn hops(&self, from: NodeId, to: NodeId) -> u32 {
         self.link(from, to, SimTime::ZERO, 0).hops
     }
-
-    /// A hard **lower** bound on the latency of any message between two
-    /// *distinct* nodes, over every `(at, seq)` the fabric can be asked
-    /// about — the conservative lookahead of the parallel engine: a message
-    /// emitted at time `t` can never be delivered to another node before
-    /// `t + latency_floor()`, so all events inside a window of that width
-    /// are causally independent across node partitions. Self-links
-    /// (`from == to`, including engine timers) are exempt; they never cross
-    /// a partition boundary.
-    ///
-    /// The default is [`SimDuration::ZERO`] — always sound, and understood
-    /// by `ParallelEngine` as "no usable lookahead": it degrades to a
-    /// single shard rather than risk a causality violation.
-    fn latency_floor(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
 }
 
 /// Fixed-latency fabric for unit tests: every message takes `latency` and
@@ -107,10 +91,6 @@ impl Fabric for UniformFabric {
             latency: self.latency,
             hops: 1,
         }
-    }
-
-    fn latency_floor(&self) -> SimDuration {
-        self.latency
     }
 }
 
@@ -190,14 +170,6 @@ impl Fabric for GridFabric {
                 hops: 1,
             }
         }
-    }
-
-    fn latency_floor(&self) -> SimDuration {
-        // Distinct brokers are ≥ 1 graph hop apart (unreachable pairs report
-        // u32::MAX hops, i.e. *more* latency), client links cost exactly one
-        // wireless hop, so the cheaper of the two per-hop rates bounds every
-        // cross-node message from below.
-        self.wired_latency.min(self.wireless_latency)
     }
 }
 
@@ -378,27 +350,6 @@ impl<F: Fabric> Fabric for JitteredFabric<F> {
             latency: SimDuration::from_micros(latency_us.max(1)),
             hops: base.hops,
         }
-    }
-
-    fn latency_floor(&self) -> SimDuration {
-        let inner = self.inner.latency_floor();
-        if self.model.is_constant() || inner == SimDuration::ZERO {
-            return inner;
-        }
-        // Asymmetry scales by ≥ 1 and jitter only adds, so neither lowers
-        // the bound. Degradation windows are applied with `factor.max(0.0)`
-        // in `link` — a factor *below* one speeds a link up — so fold the
-        // product of every sub-unit factor in, budget one microsecond of
-        // round-to-nearest slack per window, and rely on `link`'s final
-        // `.max(1)` microsecond clamp as the absolute floor.
-        let shrink: f64 = self
-            .model
-            .degraded
-            .iter()
-            .map(|w| w.factor.clamp(0.0, 1.0))
-            .product();
-        let us = inner.as_micros() as f64 * shrink - self.model.degraded.len() as f64;
-        SimDuration::from_micros((us.floor().max(1.0)) as u64)
     }
 }
 
@@ -638,54 +589,6 @@ mod tests {
         );
         assert_eq!(model.worst_case_path(base, 1), model.worst_case(base));
         assert_eq!(model.worst_case_path(base, 0), model.worst_case(base));
-    }
-
-    /// `latency_floor` must lower-bound every sample the fabric can emit —
-    /// the parallel engine's causality windows depend on it.
-    #[test]
-    fn latency_floor_bounds_every_cross_node_sample() {
-        let grid = fabric(5);
-        assert_eq!(grid.latency_floor(), SimDuration::from_millis(10));
-        assert_eq!(
-            UniformFabric::new(SimDuration::from_millis(3)).latency_floor(),
-            SimDuration::from_millis(3)
-        );
-        // A speed-up degradation window (factor < 1) must lower the floor.
-        let model = LinkModel {
-            seed: 4,
-            jitter: SimDuration::from_millis(2),
-            asymmetry: 0.3,
-            degraded: vec![DegradedWindow {
-                start: SimTime::from_millis(50),
-                end: SimTime::from_millis(150),
-                factor: 0.25,
-            }],
-        };
-        let f = JitteredFabric::new(grid.clone(), model);
-        let floor = f.latency_floor();
-        assert!(floor < grid.latency_floor(), "sub-unit factor lowers floor");
-        assert!(floor >= SimDuration::from_micros(1));
-        let n = 27u32; // 25 brokers + clients
-        for seq in 0..40u64 {
-            let at = SimTime::from_millis(seq * 5);
-            for a in 0..n {
-                for b in 0..n {
-                    if a == b {
-                        continue;
-                    }
-                    let cost = f.link(NodeId(a), NodeId(b), at, seq);
-                    assert!(
-                        cost.latency >= floor,
-                        "sample {} under floor {} for {a}->{b} at {at}",
-                        cost.latency,
-                        floor
-                    );
-                }
-            }
-        }
-        // Constant wrap passes the inner floor through unchanged.
-        let constant = JitteredFabric::new(grid.clone(), LinkModel::constant(0));
-        assert_eq!(constant.latency_floor(), grid.latency_floor());
     }
 
     #[test]

@@ -29,16 +29,10 @@
 //! * small deterministic random-number utilities ([`random`]) so that every
 //!   experiment run is exactly reproducible from a seed.
 //!
-//! Determinism is a property the reproduction tests rely on, and it does
-//! not require running single-threaded: the conservative-parallel
-//! [`ParallelEngine`] shards the node set ([`topology::Partition`]) and
-//! synchronises at lookahead-bounded window barriers, reconstructing the
-//! serial engine's exact delivery sequence — same seed, same order, same
-//! stats, byte for byte (differentially tested against [`Engine`] in
-//! `tests/parallel_equivalence.rs`). Parallelism is also applied one level
-//! up across *independent* runs by the scoped-thread sweep executor in
-//! `mhh-mobility::sweep`; [`with_thread_allowance`] budgets the two levels
-//! against each other so nesting never oversubscribes the machine.
+//! Every run is single-threaded and deterministic: same seed, same delivery
+//! order, same stats, byte for byte. Parallelism is applied one level up,
+//! across *independent* runs, by the scoped-thread sweep executor in
+//! `mhh-mobility::sweep`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +42,6 @@ pub mod engine;
 pub mod fabric;
 pub mod faults;
 pub mod ids;
-pub mod parallel;
 pub mod queue;
 pub mod random;
 pub mod reference;
@@ -69,11 +62,8 @@ pub use faults::{
     OutageScope, OutageWindow,
 };
 pub use ids::NodeId;
-pub use parallel::{
-    thread_allowance, with_thread_allowance, AnyEngine, ParallelEngine, ParallelPerf, ShardPerf,
-};
 pub use queue::EventQueue;
 pub use reference::ReferenceEngine;
 pub use stats::{Message, TrafficClass, TrafficStats};
 pub use time::{SimDuration, SimTime};
-pub use topology::{parse_edge_list, CutReport, Graph, Network, Partition, TopologyKind, Tree};
+pub use topology::{parse_edge_list, Graph, Network, TopologyKind, Tree};

@@ -115,11 +115,6 @@ impl<M> EventQueue<M> {
         self.grows
     }
 
-    /// The `(at, seq)` key of the earliest scheduled event, if any. O(1).
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.first().map(HeapEntry::key)
-    }
-
     /// Schedule `env` for delivery at `at`. `seq` must be unique per queue
     /// (the engine's global send sequence), which makes the order total.
     pub fn push(&mut self, at: SimTime, seq: u64, env: Envelope<M>) {
@@ -248,24 +243,6 @@ impl<M> EventQueue<M> {
             i = best;
         }
         self.heap[i] = entry;
-    }
-
-    /// Rewrite every scheduled entry's sequence number through `f`, in
-    /// place, without re-heapifying.
-    ///
-    /// **Caller contract:** `f` must be order-preserving over the keys
-    /// actually present — for any two entries, `(at_a, f(seq_a)) <
-    /// (at_b, f(seq_b))` iff `(at_a, seq_a) < (at_b, seq_b)`. The parallel
-    /// engine satisfies this when it resolves provisional sequence numbers
-    /// to their final global values at a window barrier: provisional
-    /// numbers sort after all final ones and are assigned final values in
-    /// ascending provisional order, so the relabeling is order-isomorphic
-    /// and the heap arrangement stays valid untouched. Checked by
-    /// `assert_invariants` in tests.
-    pub fn remap_seqs(&mut self, mut f: impl FnMut(u64) -> u64) {
-        for e in &mut self.heap {
-            e.seq = f(e.seq);
-        }
     }
 
     /// Drop any remaining events and reset the lifetime counters, keeping
@@ -471,42 +448,5 @@ mod tests {
         assert_eq!(q.alloc_events(), 0, "reset pool must be reused");
         q.assert_invariants();
         while q.pop().is_some() {}
-    }
-
-    /// An order-preserving seq relabeling keeps the heap valid and the pop
-    /// order equal to relabeling the would-be pop sequence directly.
-    #[test]
-    fn remap_seqs_preserves_heap_order() {
-        let mut rng = DetRng::new(0x5E9);
-        let mut q: EventQueue<u64> = EventQueue::new();
-        const PROV: u64 = 1 << 63;
-        // True seqs 0..50 mixed with provisional seqs PROV..PROV+50 at
-        // overlapping instants (provisional sort after true at equal `at`,
-        // as in the parallel engine).
-        for i in 0..50u64 {
-            q.push(SimTime::from_micros(rng.next_below(20)), i, env(i));
-            q.push(
-                SimTime::from_micros(rng.next_below(20)),
-                PROV | i,
-                env(PROV | i),
-            );
-        }
-        // Resolve provisional i -> 50 + i (ascending in provisional order,
-        // all above the true range): order-isomorphic.
-        q.remap_seqs(|s| if s & PROV != 0 { 50 + (s & !PROV) } else { s });
-        q.assert_invariants();
-        let mut last = None;
-        while let Some((at, e)) = q.pop() {
-            let seq = if e.msg & PROV != 0 {
-                50 + (e.msg & !PROV)
-            } else {
-                e.msg
-            };
-            let key = (at, seq);
-            if let Some(prev) = last {
-                assert!(prev < key, "pop order broke after remap");
-            }
-            last = Some(key);
-        }
     }
 }

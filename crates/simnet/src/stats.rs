@@ -299,8 +299,7 @@ impl TrafficStats {
         self.kind_counts[idx].bytes += counter.bytes;
     }
 
-    /// Add pre-aggregated per-link bytes (reference-engine stats conversion
-    /// and parallel-shard merging).
+    /// Add pre-aggregated per-link bytes (reference-engine stats conversion).
     pub(crate) fn add_link_bytes(&mut self, src: u32, dst: u32, bytes: u64) {
         *self.per_link.entry((src, dst)).or_insert(0) += bytes;
     }

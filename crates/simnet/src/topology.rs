@@ -761,194 +761,9 @@ impl Network {
     }
 }
 
-/// Assignment of engine nodes to parallel-engine shards (see
-/// `mhh_simnet::parallel`). A partition is purely a perf decision: the
-/// parallel engine produces byte-identical results under *any* assignment,
-/// so the partitioner only tries to keep chatty nodes together — the fewer
-/// physical edges cross shards, the less traffic pays the barrier-exchange
-/// path.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    shard_of: Vec<u32>,
-    shards: usize,
-}
-
-impl Partition {
-    /// Everything in one shard (the degenerate partition; the parallel
-    /// engine then behaves exactly like the serial one).
-    pub fn single(node_count: usize) -> Self {
-        Partition {
-            shard_of: vec![0; node_count],
-            shards: 1,
-        }
-    }
-
-    /// Contiguous equal blocks of node indices across (up to) `shards`
-    /// shards — the topology-blind default used by tests and by callers
-    /// without broker structure.
-    pub fn contiguous(node_count: usize, shards: usize) -> Self {
-        let shards = shards.max(1).min(node_count.max(1));
-        let block = node_count.div_ceil(shards).max(1);
-        Partition {
-            shard_of: (0..node_count).map(|i| (i / block) as u32).collect(),
-            shards,
-        }
-    }
-
-    /// An explicit per-node assignment. Shard ids must be dense from zero
-    /// (every shard in `0..=max` may be empty except that `max` defines the
-    /// count).
-    pub fn from_assignments(shard_of: Vec<u32>) -> Self {
-        let shards = shard_of.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
-        Partition { shard_of, shards }
-    }
-
-    /// The broker-aware partition the pub/sub deployment uses: brokers
-    /// `0..B` are cut into contiguous index blocks (grid and torus builds
-    /// number brokers row-major, so contiguous blocks are spatially compact
-    /// stripes), and each client is co-located with its home broker —
-    /// client↔broker wireless traffic, the bulk of city-scale load, then
-    /// never crosses a shard boundary. `client_homes[i]` is the home broker
-    /// of the client with node id `B + i`.
-    pub fn broker_blocks(network: &Network, client_homes: &[usize], shards: usize) -> Self {
-        let brokers = network.broker_count();
-        let shards = shards.max(1).min(brokers.max(1));
-        let block = brokers.div_ceil(shards).max(1);
-        let broker_shard = |b: usize| (b / block) as u32;
-        let mut shard_of = Vec::with_capacity(brokers + client_homes.len());
-        shard_of.extend((0..brokers).map(broker_shard));
-        shard_of.extend(client_homes.iter().map(|&h| {
-            assert!(h < brokers, "client home {h} is not a broker");
-            broker_shard(h)
-        }));
-        Partition { shard_of, shards }
-    }
-
-    /// Number of shards (≥ 1; possibly more than the number of *non-empty*
-    /// shards).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of nodes assigned.
-    pub fn node_count(&self) -> usize {
-        self.shard_of.len()
-    }
-
-    /// The shard of one node.
-    pub fn shard_of(&self, node: usize) -> u32 {
-        self.shard_of[node]
-    }
-
-    /// The full assignment, indexed by node id.
-    pub fn assignments(&self) -> &[u32] {
-        &self.shard_of
-    }
-
-    /// How well the partition respects the wired topology: which physical
-    /// broker-to-broker edges cross shard boundaries (each such edge's
-    /// traffic rides the barrier-exchange path). Client wireless links are
-    /// not counted — under [`broker_blocks`](Self::broker_blocks) they
-    /// never cross by construction.
-    pub fn cut_report(&self, network: &Network) -> CutReport {
-        let mut nodes_per_shard = vec![0usize; self.shards];
-        for &s in &self.shard_of {
-            nodes_per_shard[s as usize] += 1;
-        }
-        let mut cut_edges = 0;
-        let mut total_edges = 0;
-        for a in 0..network.broker_count() {
-            for b in network.neighbors(a) {
-                if b > a {
-                    total_edges += 1;
-                    if self.shard_of[a] != self.shard_of[b] {
-                        cut_edges += 1;
-                    }
-                }
-            }
-        }
-        CutReport {
-            shards: self.shards,
-            nodes_per_shard,
-            cut_edges,
-            total_edges,
-        }
-    }
-}
-
-/// The cut-weight summary of a [`Partition`] over a [`Network`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CutReport {
-    /// Number of shards in the partition.
-    pub shards: usize,
-    /// Node count (brokers + clients) per shard.
-    pub nodes_per_shard: Vec<usize>,
-    /// Wired broker edges whose endpoints sit in different shards.
-    pub cut_edges: usize,
-    /// All wired broker edges.
-    pub total_edges: usize,
-}
-
-impl CutReport {
-    /// Fraction of wired edges crossing shard boundaries (0 when the graph
-    /// has no edges).
-    pub fn cut_fraction(&self) -> f64 {
-        if self.total_edges == 0 {
-            0.0
-        } else {
-            self.cut_edges as f64 / self.total_edges as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_contiguous_blocks_cover_all_nodes() {
-        let p = Partition::contiguous(10, 4);
-        assert_eq!(p.shards(), 4);
-        assert_eq!(p.node_count(), 10);
-        // ceil(10/4)=3 → blocks [0..3), [3..6), [6..9), [9..10).
-        assert_eq!(p.assignments(), &[0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
-        // More shards than nodes degrades gracefully.
-        assert_eq!(Partition::contiguous(2, 8).shards(), 2);
-        assert_eq!(Partition::single(5).assignments(), &[0; 5]);
-    }
-
-    #[test]
-    fn partition_clients_follow_home_brokers() {
-        let net = Network::grid(4, 7); // 16 brokers
-        let homes = vec![0, 5, 10, 15, 3];
-        let p = Partition::broker_blocks(&net, &homes, 4);
-        assert_eq!(p.shards(), 4);
-        assert_eq!(p.node_count(), 16 + 5);
-        for (i, &h) in homes.iter().enumerate() {
-            assert_eq!(
-                p.shard_of(16 + i),
-                p.shard_of(h),
-                "client {i} must share its home broker's shard"
-            );
-        }
-        let report = p.cut_report(&net);
-        assert_eq!(report.nodes_per_shard.iter().sum::<usize>(), 21);
-    }
-
-    #[test]
-    fn cut_report_counts_crossing_grid_edges() {
-        // A 4×4 grid split into two row bands: the cut is exactly the four
-        // vertical edges between rows 1 and 2, out of 24 total edges.
-        let net = Network::grid(4, 1);
-        let p = Partition::contiguous(16, 2);
-        let report = p.cut_report(&net);
-        assert_eq!(report.total_edges, 24);
-        assert_eq!(report.cut_edges, 4);
-        assert!((report.cut_fraction() - 4.0 / 24.0).abs() < 1e-12);
-        assert_eq!(report.nodes_per_shard, vec![8, 8]);
-        // The degenerate partition cuts nothing.
-        assert_eq!(Partition::single(16).cut_report(&net).cut_edges, 0);
-    }
 
     #[test]
     fn grid_has_expected_shape() {

@@ -12,10 +12,10 @@
 //! * `--full` keeps the preset at its registered scale (CI uses this to
 //!   smoke the `city-scale` stress preset at its real 2k-client size);
 //! * `--budget-ms <N>` bounds the wall clock: protocols that cannot start
-//!   before the budget elapses are skipped and reported, never hung on;
-//! * `--engine-workers <K>` runs each simulation on the windowed parallel
-//!   engine with `K` shards — results are byte-identical to the serial
-//!   engine, so CI smokes the parallel backend with the same assertions.
+//!   before the budget elapses are skipped and reported, never hung on.
+//!
+//! Every simulation runs on the one serial engine; parallelism applies only
+//! across independent runs (the sweep executor behind `run_all`).
 
 use std::sync::Arc;
 
@@ -23,16 +23,10 @@ use mhh_suite::mobility::{ModelKind, TraceRecord};
 use mhh_suite::mobsim::{protocols::ProtocolRegistry, scenarios, Sim};
 
 /// Smoke-run a named preset across every registered protocol.
-fn smoke(name: &str, full: bool, budget_ms: Option<u64>, engine_workers: Option<usize>) {
+fn smoke(name: &str, full: bool, budget_ms: Option<u64>) {
     let scale = if full { "full scale" } else { "reduced scale" };
-    match engine_workers {
-        Some(k) => println!("=== smoke: {name} ({scale}, {k}-shard parallel engine) ==="),
-        None => println!("=== smoke: {name} ({scale}) ==="),
-    }
+    println!("=== smoke: {name} ({scale}) ===");
     let mut sim = Sim::scenario(name);
-    if let Some(k) = engine_workers {
-        sim = sim.engine_workers(k);
-    }
     let preset = scenarios::find(name);
     let storm = preset.as_ref().is_some_and(|s| s.config.is_storm());
     // Late joiners miss events published before they join (they get only
@@ -123,7 +117,7 @@ fn smoke(name: &str, full: bool, budget_ms: Option<u64>, engine_workers: Option<
 }
 
 fn usage_error() -> ! {
-    eprintln!("usage: quickstart [<scenario> [--full] [--budget-ms <N>] [--engine-workers <K>]]");
+    eprintln!("usage: quickstart [<scenario> [--full] [--budget-ms <N>]]");
     std::process::exit(2);
 }
 
@@ -145,8 +139,7 @@ fn main() {
             })
         }
         let budget_ms: Option<u64> = flag_value(&args, "--budget-ms");
-        let engine_workers: Option<usize> = flag_value(&args, "--engine-workers");
-        smoke(name, full, budget_ms, engine_workers);
+        smoke(name, full, budget_ms);
         return;
     }
     println!("=== MHH quickstart ===");

@@ -14,7 +14,6 @@
 //! cargo run --release --example reproduce_figures -- --workers 4
 //! cargo run --release --example reproduce_figures -- --budget-ms 60000
 //! cargo run --release --example reproduce_figures -- fig5 --dump-ledger ledgers.json
-//! cargo run --release --example reproduce_figures -- fig5 --engine-workers 4
 //! ```
 //!
 //! By default the sweeps run at a reduced scale (49 brokers, 5 clients per
@@ -25,10 +24,6 @@
 //! sweep worker threads (default: all cores). `--budget-ms N` bounds each
 //! sweep's wall-clock: points that cannot start in time are *recorded as
 //! skipped* in the JSON output instead of silently truncating the sweep.
-//! `--engine-workers K` runs every figure simulation on the windowed
-//! parallel engine with K shards; delivery sequences are byte-identical to
-//! the serial engine, so the figures come out exactly the same — the flag
-//! exists to exercise and time the parallel backend on real sweeps.
 //!
 //! The `handover` mode runs the proclaimed-vs-reactive comparison the
 //! paper's §4.1 motivates: every registered protocol twice on the identical
@@ -106,27 +101,15 @@ fn dump_ledger_flag(args: &[String]) -> Option<String> {
         .cloned()
 }
 
-/// Parse `--engine-workers K` (default: serial engine).
-fn engine_workers_flag(args: &[String]) -> Option<usize> {
-    args.iter()
-        .position(|a| a == "--engine-workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-}
-
 fn builder(
     scenario: &str,
     paper_scale: bool,
     workers: usize,
     budget_ms: Option<u64>,
-    engine_workers: Option<usize>,
 ) -> SimBuilder {
     let mut b = Sim::scenario(scenario).workers(workers);
     if let Some(ms) = budget_ms {
         b = b.budget_ms(ms);
-    }
-    if let Some(k) = engine_workers {
-        b = b.engine_workers(k);
     }
     if paper_scale {
         b
@@ -154,7 +137,6 @@ fn main() {
     let workers = workers_flag(&args);
     let budget_ms = budget_flag(&args);
     let dump_ledger = dump_ledger_flag(&args);
-    let engine_workers = engine_workers_flag(&args);
     let mut executed_figures: Vec<FigureResult> = Vec::new();
     let modes = [
         "fig5",
@@ -176,13 +158,10 @@ fn main() {
     };
 
     println!(
-        "running at {} scale with {workers} workers{}{}",
+        "running at {} scale with {workers} workers{}",
         if paper_scale { "paper" } else { "reduced" },
         budget_ms
             .map(|ms| format!(", {ms} ms budget per sweep"))
-            .unwrap_or_default(),
-        engine_workers
-            .map(|k| format!(", {k}-shard parallel engine"))
             .unwrap_or_default()
     );
 
@@ -192,15 +171,9 @@ fn main() {
         } else {
             &[1.0, 10.0, 100.0, 1_000.0]
         };
-        let fig = builder(
-            "paper-fig5",
-            paper_scale,
-            workers,
-            budget_ms,
-            engine_workers,
-        )
-        .figure5(conn)
-        .expect("paper-fig5 is registered");
+        let fig = builder("paper-fig5", paper_scale, workers, budget_ms)
+            .figure5(conn)
+            .expect("paper-fig5 is registered");
         println!("{}", render_figure(&fig));
         report_skipped(&fig.skipped);
         std::fs::write("figure5.json", to_json(&fig)).expect("write figure5.json");
@@ -213,15 +186,9 @@ fn main() {
         } else {
             &[5, 7, 10]
         };
-        let fig = builder(
-            "paper-fig6",
-            paper_scale,
-            workers,
-            budget_ms,
-            engine_workers,
-        )
-        .figure6(sides)
-        .expect("paper-fig6 is registered");
+        let fig = builder("paper-fig6", paper_scale, workers, budget_ms)
+            .figure6(sides)
+            .expect("paper-fig6 is registered");
         println!("{}", render_figure(&fig));
         report_skipped(&fig.skipped);
         std::fs::write("figure6.json", to_json(&fig)).expect("write figure6.json");
@@ -229,15 +196,9 @@ fn main() {
         executed_figures.push(fig);
     }
     if want("handover") {
-        let cmp = builder(
-            "paper-fig5",
-            paper_scale,
-            workers,
-            budget_ms,
-            engine_workers,
-        )
-        .compare_proclaimed()
-        .expect("paper-fig5 is registered");
+        let cmp = builder("paper-fig5", paper_scale, workers, budget_ms)
+            .compare_proclaimed()
+            .expect("paper-fig5 is registered");
         println!("{}", render_proclaimed(&cmp));
         report_skipped(&cmp.skipped);
         std::fs::write("handover.json", proclaimed_to_json(&cmp)).expect("write handover.json");
